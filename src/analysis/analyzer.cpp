@@ -13,7 +13,7 @@ Report lint_configuration(const code::CodeParams& params, const code::IraTables&
     // Range analysis depends only on parameters and the decoder config, so
     // it runs even when the table itself is broken. The legacy min-sum
     // stage table first (cross-check tier), then the per-event IR
-    // certification, which carries all three algorithm tiers.
+    // certification.
     for (const quant::QuantSpec& spec : opts.quant_specs) {
         rep.merge(lint_fixed_point(params, opts.decoder, spec));
         rep.merge(lint_range_ir(params, opts.decoder, spec));
@@ -37,7 +37,6 @@ Report lint_configuration(const code::CodeParams& params, const code::IraTables&
         dopts.memory = opts.memory;
         dopts.buffer_depth = opts.buffer_depth;
         dopts.schedule = opts.decoder.schedule;
-        dopts.algorithm = opts.decoder.algorithm;
         rep.merge(lint_dataflow(code, mapping, dopts));
         rep.merge(lint_transform(opts.decoder.schedule));
     } catch (const std::exception& e) {

@@ -67,22 +67,6 @@ RangeAnalysis analyze_fixed_point_range(const code::CodeParams& cp,
                     std::to_string(core::kMaxCheckDegree),
                 "raise core::kMaxCheckDegree with the hardware FU depth");
 
-    // --- algorithm scope gate ---
-    // The stage table below hand-models the MIN-SUM datapath (Eq. 4 sums,
-    // zigzag adds, the check combine/finalize). Running it for another
-    // algorithm would report a clean bill for stages that decoder does not
-    // even have; route those configs to the IR-level certifier instead of
-    // silently assuming min-sum.
-    if (cfg.algorithm != core::Algorithm::MinSum) {
-        rep.add("range.algorithm-scope", Severity::Note, qloc,
-                std::string("the legacy stage table models the min-sum datapath only; "
-                            "algorithm=") +
-                    core::to_string(cfg.algorithm) +
-                    " is certified per-event by the range.ir.* family",
-                "see range.ir.certificate / range.ir.overflow for the verdict");
-        return out;
-    }
-
     // --- worst-case interval propagation ---
     // Every exchanged message and channel value is saturated to R = max_raw,
     // so R is the interval bound entering each stage; stages then grow it by

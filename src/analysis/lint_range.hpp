@@ -14,14 +14,6 @@
 // Configurations whose static worst case exceeds the representable range
 // are rejected.
 //
-// Algorithm scope: the stage table models min-sum only. For algorithm=wbf
-// or rhs-bp the family emits the `range.algorithm-scope` note and defers
-// the verdict to `range.ir.*`, whose abstract interpreter carries the
-// per-algorithm transfer functions — it never silently assumes min-sum.
-// The quantizer legality gates (`range.quantizer-degenerate`,
-// `range.clamp-mismatch`, `range.check-degree-cap`) run for every
-// algorithm; they constrain the word format, not the datapath.
-//
 // Rules:
 //   range.quantizer-degenerate  width/fraction outside the supported space
 //   range.accumulator-overflow  a stage's worst case exceeds its capacity
@@ -31,8 +23,6 @@
 //   range.check-degree-cap      check degree exceeds the datapath buffers
 //   range.clamp-mismatch        (warning) quantizer range exceeds the ±30
 //                               reference clamp, fixed/float divergence
-//   range.algorithm-scope       (note) non-min-sum config routed to the
-//                               range.ir.* certifier
 #pragma once
 
 #include <string>

@@ -5,11 +5,8 @@
 #include <ostream>
 #include <string>
 
-#include "analysis/ir/analyses.hpp"
 #include "analysis/ir/transform.hpp"
 #include "analysis/lint_range.hpp"
-#include "core/rhs_decoder.hpp"  // kRhsCmax
-#include "util/math.hpp"         // kLlrClamp
 
 namespace dvbs2::analysis {
 
@@ -18,12 +15,9 @@ ir::AbsintSpec absint_spec_for(const core::DecoderConfig& cfg, const quant::Quan
     // core::engine_range_certificate by tests/test_absint.cpp), so a lint
     // verdict and an engine-construction verdict can never diverge.
     ir::AbsintSpec a;
-    a.algorithm = cfg.algorithm;
     a.rule = cfg.rule;
     a.max_raw = spec.max_raw();
-    a.channel_clamp = cfg.algorithm == core::Algorithm::RhsBp
-                          ? std::llround(std::ceil(util::kLlrClamp / spec.step()))
-                          : a.max_raw;
+    a.channel_clamp = a.max_raw;  // the channel is quantized at the word bound
     a.corr_peak = cfg.rule == core::CheckRule::Exact
                       ? std::llround(std::nearbyint(std::log1p(1.0) / spec.step()))
                       : 0;
@@ -32,8 +26,6 @@ ir::AbsintSpec absint_spec_for(const core::DecoderConfig& cfg, const quant::Quan
     a.offset_raw = cfg.rule == core::CheckRule::OffsetMinSum
                        ? std::llround(cfg.offset / spec.step())
                        : 0;
-    a.wbf_alpha = cfg.wbf_alpha;
-    a.rhs_cmax_raw = std::llround(std::ceil(core::kRhsCmax / spec.step()));
     return a;
 }
 
@@ -76,8 +68,7 @@ RangeIrAnalysis analyze_range_ir(const code::CodeParams& cp, const core::Decoder
     Report& rep = out.report;
     const std::string loc = "quantizer " + std::to_string(spec.total_bits) + "." +
                             std::to_string(spec.frac_bits) + " schedule=" +
-                            core::to_string(cfg.schedule) + " algorithm=" +
-                            core::to_string(cfg.algorithm);
+                            core::to_string(cfg.schedule);
 
     // Outside the certifiable space the step()/max_raw() arithmetic below
     // is meaningless; range.quantizer-degenerate already carries the error.
@@ -86,17 +77,6 @@ RangeIrAnalysis analyze_range_ir(const code::CodeParams& cp, const core::Decoder
         rep.add("range.ir.quantizer", Severity::Note, loc,
                 "quantizer is outside the certifiable space; no certificate produced",
                 "see range.quantizer-degenerate for the hard error");
-        return out;
-    }
-
-    // No datapath exists for an algorithm x schedule combination the IR
-    // layer rejects; engine validation refuses it with the same obstruction.
-    const ir::AlgorithmClass& alg = ir::classify_algorithm(cfg.algorithm);
-    if (!alg.supports(cfg.schedule)) {
-        rep.add("range.ir.schedule", Severity::Note, loc,
-                "algorithm cannot run this schedule (" + alg.obstruction(cfg.schedule) +
-                    "); nothing to certify",
-                "validate_engine_spec rejects the combination with the same obstruction");
         return out;
     }
 
@@ -136,30 +116,22 @@ RangeIrAnalysis analyze_range_ir(const code::CodeParams& cp, const core::Decoder
                 "");
     }
 
-    // Cross-check tier: the legacy hand-maintained stage table. For min-sum
-    // it must agree with the certificate (subsumption contract); for the
-    // other tiers it is algorithm-blind by design and defers to this family.
-    if (cfg.algorithm == core::Algorithm::MinSum) {
-        const RangeAnalysis legacy = analyze_fixed_point_range(cp, cfg, spec);
-        const bool legacy_overflow = !legacy.report.by_rule("range.accumulator-overflow").empty();
-        if (legacy_overflow == !cert.ok) {
-            rep.add("range.ir.legacy", Severity::Note, loc,
-                    std::string("legacy range.* stage table agrees: ") +
-                        (cert.ok ? "both clean" : "both overflow"),
-                    "");
-        } else {
-            rep.add("range.ir.legacy", Severity::Error, loc,
-                    std::string("verdict diverges from the legacy stage table: certificate ") +
-                        (cert.ok ? "clean" : "overflow") + " but legacy " +
-                        (legacy_overflow ? "overflow" : "clean"),
-                    "report this as an analyzer defect; the two families must agree on "
-                    "the min-sum datapath");
-        }
-    } else {
+    // Cross-check tier: the legacy hand-maintained stage table must agree
+    // with the certificate (subsumption contract).
+    const RangeAnalysis legacy = analyze_fixed_point_range(cp, cfg, spec);
+    const bool legacy_overflow = !legacy.report.by_rule("range.accumulator-overflow").empty();
+    if (legacy_overflow == !cert.ok) {
         rep.add("range.ir.legacy", Severity::Note, loc,
-                std::string("legacy range.* family is algorithm-blind for ") +
-                    core::to_string(cfg.algorithm) + "; this certificate is the sole verdict",
+                std::string("legacy range.* stage table agrees: ") +
+                    (cert.ok ? "both clean" : "both overflow"),
                 "");
+    } else {
+        rep.add("range.ir.legacy", Severity::Error, loc,
+                std::string("verdict diverges from the legacy stage table: certificate ") +
+                    (cert.ok ? "clean" : "overflow") + " but legacy " +
+                    (legacy_overflow ? "overflow" : "clean"),
+                "report this as an analyzer defect; the two families must agree on "
+                "the min-sum datapath");
     }
     return out;
 }
@@ -173,8 +145,7 @@ void render_certificate_json(std::ostream& os, const std::string& target,
                              const core::DecoderConfig& cfg, const quant::QuantSpec& spec,
                              const RangeIrAnalysis& analysis) {
     os << "{\"target\": \"" << target << "\", \"schedule\": \"" << core::to_string(cfg.schedule)
-       << "\", \"algorithm\": \"" << core::to_string(cfg.algorithm) << "\", \"quant\": \""
-       << spec.total_bits << "." << spec.frac_bits << "\"";
+       << "\", \"quant\": \"" << spec.total_bits << "." << spec.frac_bits << "\"";
     if (!analysis.certificate) {
         os << ", \"certified\": false}";
         return;

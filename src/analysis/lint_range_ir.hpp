@@ -1,11 +1,10 @@
 // Rule family `range.ir.*`: per-event fixed-point range certification over
-// the schedule dataflow IR (analysis/ir/absint.hpp), for all three
-// algorithm tiers.
+// the schedule dataflow IR (analysis/ir/absint.hpp).
 //
 // Where the legacy `range.*` family checks a hand-maintained min-sum stage
 // table, this family compiles the configured schedule to its Def/Use/Sink
 // event trace, runs the interval-domain abstract interpreter over it with
-// the algorithm's transfer functions, and reports the machine-checked
+// the datapath's transfer functions, and reports the machine-checked
 // RangeCertificate: per-storage-space and per-stage proven bounds, verified
 // independently by check_range_certificate before any verdict is derived.
 // The trace dims carry the linted code's worst-case degrees (its check
@@ -22,8 +21,6 @@
 //   range.ir.checker       (error) the independent checker rejected the
 //                          interpreter's certificate (analyzer defect —
 //                          surfaced loudly, never silently trusted)
-//   range.ir.schedule      (note) the algorithm cannot run the configured
-//                          schedule, so no datapath exists to certify
 //   range.ir.quantizer     (note) quantizer outside the certifiable space;
 //                          see range.quantizer-degenerate for the error
 //   range.ir.legacy        (note/error) cross-check against the legacy
@@ -69,7 +66,7 @@ RangeIrAnalysis analyze_range_ir(const code::CodeParams& params, const core::Dec
 Report lint_range_ir(const code::CodeParams& params, const core::DecoderConfig& cfg,
                      const quant::QuantSpec& spec);
 
-/// Renders one analysis as a JSON object (schedule, algorithm, quantizer,
+/// Renders one analysis as a JSON object (schedule, quantizer,
 /// verdicts, space bounds, stage table, offender) — the payload behind
 /// `dvbs2_lint --range-cert-json`.
 void render_certificate_json(std::ostream& os, const std::string& target,

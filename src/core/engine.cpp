@@ -1,8 +1,7 @@
-// Unified decoder-engine layer: central validation, the engine registry,
-// and the six in-tree engine implementations (min-sum float-scalar,
-// fixed-scalar and fixed-simd; WBF float-scalar and fixed-scalar; RHS-BP
-// float-scalar). The public Decoder/FixedDecoder classes are thin wrappers
-// over make_engine (see decoder.cpp).
+// Unified decoder-engine layer: central validation, the three engine
+// implementations (float-scalar, fixed-scalar, fixed-simd) and the
+// make_engine factory that picks one. The public Decoder/FixedDecoder
+// classes are thin wrappers over make_engine (see decoder.cpp).
 #include "core/engine.hpp"
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 
 #include "analysis/ir/analyses.hpp"
@@ -20,19 +18,12 @@
 #include "code/params.hpp"
 #include "core/arith.hpp"
 #include "core/mp_decoder.hpp"
-#include "core/rhs_decoder.hpp"
 #include "core/simd/batch_decoder.hpp"
 #include "core/simd/simd_decoder.hpp"
-#include "core/wbf_decoder.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
 
 namespace dvbs2::core {
-
-std::string to_string(const EngineKey& key) {
-    return std::string("algorithm=") + to_string(key.algorithm) +
-           " arithmetic=" + to_string(key.arith) + " backend=" + to_string(key.backend);
-}
 
 // ------------------------------------------------------------- validation
 
@@ -42,9 +33,9 @@ namespace {
 /// model dims every IR analysis runs at (P=4, q=3), carrying the WORST-CASE
 /// degrees over all shipped long-frame rates — the largest check in-degree
 /// and an information node of the largest deg_hi — so one certificate per
-/// (algorithm, schedule, datapath numbers) covers every standard code. The
-/// abstract bounds grow only with per-firing fan-in (vn sums, flip metrics),
-/// never with m or N, so the envelope dominates the full-size codes.
+/// (schedule, datapath numbers) covers every standard code. The abstract
+/// bounds grow only with per-firing fan-in (vn sums), never with m or N,
+/// so the envelope dominates the full-size codes.
 const analysis::ir::TraceDims& range_envelope_dims() {
     static const analysis::ir::TraceDims dims = [] {
         int max_kc = 2;
@@ -74,14 +65,9 @@ const analysis::ir::TraceDims& range_envelope_dims() {
 analysis::ir::AbsintSpec absint_spec_of(const EngineSpec& spec) {
     const DecoderConfig& c = spec.config;
     analysis::ir::AbsintSpec a;
-    a.algorithm = c.algorithm;
     a.rule = c.rule;
     a.max_raw = spec.quant.max_raw();
-    // fixed tiers quantize the channel at the word bound; the RHS-BP tier
-    // stores doubles, so its channel carries the repo-wide LLR clamp
-    a.channel_clamp = c.algorithm == Algorithm::RhsBp
-                          ? std::llround(std::ceil(util::kLlrClamp / spec.quant.step()))
-                          : a.max_raw;
+    a.channel_clamp = a.max_raw;  // the channel is quantized at the word bound
     a.corr_peak = c.rule == CheckRule::Exact
                       ? std::llround(std::nearbyint(std::log1p(1.0) / spec.quant.step()))
                       : 0;
@@ -90,8 +76,6 @@ analysis::ir::AbsintSpec absint_spec_of(const EngineSpec& spec) {
     a.offset_raw = c.rule == CheckRule::OffsetMinSum
                        ? std::llround(c.offset / spec.quant.step())
                        : 0;
-    a.wbf_alpha = c.wbf_alpha;
-    a.rhs_cmax_raw = std::llround(std::ceil(kRhsCmax / spec.quant.step()));
     return a;
 }
 
@@ -99,18 +83,14 @@ analysis::ir::AbsintSpec absint_spec_of(const EngineSpec& spec) {
 
 analysis::ir::RangeCertificate engine_range_certificate(const EngineSpec& spec) {
     const analysis::ir::AbsintSpec a = absint_spec_of(spec);
-    using Key = std::tuple<int, int, int, long long, long long, long long, long long, long long,
-                           long long, long long>;
-    const Key key{static_cast<int>(a.algorithm),
-                  static_cast<int>(a.rule),
+    using Key = std::tuple<int, int, long long, long long, long long, long long, long long>;
+    const Key key{static_cast<int>(a.rule),
                   static_cast<int>(spec.config.schedule),
                   a.max_raw,
                   a.channel_clamp,
                   a.corr_peak,
                   a.norm_num,
-                  a.offset_raw,
-                  std::llround(a.wbf_alpha * 1e9),
-                  a.rhs_cmax_raw};
+                  a.offset_raw};
     static std::mutex mu;
     static std::map<Key, analysis::ir::RangeCertificate>& cache =
         *new std::map<Key, analysis::ir::RangeCertificate>();
@@ -142,38 +122,6 @@ void validate_engine_spec(const EngineSpec& spec) {
     if (c.rule == CheckRule::OffsetMinSum)
         DVBS2_REQUIRE(c.offset >= 0.0, "offset must be non-negative for rule=offset-min-sum, "
                                        "got " + std::to_string(c.offset));
-    if (c.algorithm == Algorithm::Wbf) {
-        DVBS2_REQUIRE(c.wbf_alpha > 0.0,
-                      "wbf_alpha must be positive for algorithm=wbf (alpha=0 drops the "
-                      "reliability term and degenerates the flip metric to plain Gallager "
-                      "check counting), got " + std::to_string(c.wbf_alpha));
-        DVBS2_REQUIRE(c.wbf_theta >= 1e-6 && c.wbf_theta <= 1.0,
-                      "wbf_theta must be in [1e-6, 1] for algorithm=wbf (1 = single-bit "
-                      "flips; a smaller threshold flips every positive-metric bit at once "
-                      "and oscillates), got " + std::to_string(c.wbf_theta));
-        DVBS2_REQUIRE(c.wbf_surrender > 0.0 && c.wbf_surrender < 1.0,
-                      "wbf_surrender must be in (0, 1) for algorithm=wbf (fraction of "
-                      "checks; surrender=1 means the gate waits for MORE than every check "
-                      "to fail and never fires), got " + std::to_string(c.wbf_surrender));
-    }
-    if (c.algorithm == Algorithm::RhsBp)
-        DVBS2_REQUIRE(c.rhs_beta >= 1e-6 && c.rhs_beta < 1.0,
-                      "rhs_beta must be in [1e-6, 1) for algorithm=rhs-bp (beta=1 removes "
-                      "the tracker memory entirely — t copies the instantaneous sign and "
-                      "the decoder degenerates to hard-decision gossip; beta below 1e-6 "
-                      "freezes the trackers at their initial state), got " +
-                          std::to_string(c.rhs_beta));
-    // Algorithm × (schedule, backend) legality is derived by the IR layer
-    // (analysis::ir::classify_algorithm), not hardcoded here: the verdicts
-    // come from the same trace analyses that certify the lane mappings.
-    const auto& alg = analysis::ir::classify_algorithm(c.algorithm);
-    DVBS2_REQUIRE(alg.supports(c.schedule),
-                  std::string("algorithm=") + to_string(c.algorithm) + " cannot run schedule=" +
-                      to_string(c.schedule) + ": " + alg.obstruction(c.schedule));
-    if (c.backend == DecoderBackend::Simd)
-        DVBS2_REQUIRE(alg.simd_supported, std::string("algorithm=") + to_string(c.algorithm) +
-                                              " cannot run backend=simd: " +
-                                              alg.simd_obstruction);
     if (spec.arith == Arithmetic::Float) {
         DVBS2_REQUIRE(c.backend != DecoderBackend::Simd,
                       "backend=simd models the fixed-point datapath only; "
@@ -213,16 +161,15 @@ void validate_engine_spec(const EngineSpec& spec) {
         // Per-event range certification over the dataflow IR (absint.hpp):
         // the family-envelope certificate must prove every stored word and
         // wide accumulator fits the spec's quantizer, or the spec is
-        // rejected naming the first overflowing event. Every registered
+        // rejected naming the first overflowing event. Every legal
         // <= 16-bit quantizer fits (the worst vn sum stays far inside the
-        // 32-bit accumulators); this is the safety net for wider datapaths
-        // and externally registered builders.
+        // 32-bit accumulators); this is the safety net for wider datapaths.
         const analysis::ir::RangeCertificate cert = engine_range_certificate(spec);
         if (!cert.ok) {
             const analysis::ir::Trace trace =
                 analysis::ir::build_schedule_trace(c.schedule, range_envelope_dims());
-            std::string what = std::string("quantization overflows the ") +
-                               to_string(c.algorithm) + " datapath: " + cert.offender_stage;
+            std::string what =
+                std::string("quantization overflows the min-sum datapath: ") + cert.offender_stage;
             if (cert.first_offender >= 0)
                 what += ", first at " +
                         analysis::ir::describe_event(
@@ -566,202 +513,16 @@ private:
     bool has_observer_ = false;
 };
 
-/// Float weighted-bit-flipping engine: double reliabilities, clamped like
-/// the float MP engine so the flip metric sees the same dynamic range.
-class WbfFloatEngine final : public Engine {
-public:
-    WbfFloatEngine(const code::Dvbs2Code& code, const EngineSpec& spec)
-        : spec_(spec), wbf_(code, spec.config) {
-        ws_.staging.resize(static_cast<std::size_t>(code.n()));
-    }
-
-    void set_observer(std::function<void(const IterationTrace&)> observer) override {
-        wbf_.set_observer(std::move(observer));
-    }
-
-    const DecoderConfig& config() const noexcept override { return spec_.config; }
-    Arithmetic arithmetic() const noexcept override { return Arithmetic::Float; }
-    std::string backend_name() const override { return "wbf-float-scalar"; }
-    std::size_t frame_length() const noexcept override { return ws_.staging.size(); }
-
-protected:
-    void do_decode_into(std::span<const double> llr, DecodeResult& out) override {
-        DVBS2_REQUIRE(llr.size() == ws_.staging.size(), "channel length mismatch");
-        for (std::size_t i = 0; i < llr.size(); ++i) {
-            DVBS2_REQUIRE(std::isfinite(llr[i]),
-                          "non-finite channel LLR at index " + std::to_string(i));
-            ws_.staging[i] = util::clamp_llr(llr[i]);
-        }
-        wbf_.decode_into(std::span<const double>(ws_.staging), out);
-    }
-
-private:
-    EngineSpec spec_;
-    WbfDecoder<double> wbf_;
-    DecodeWorkspace<double> ws_;
-};
-
-/// Fixed-point WBF engine: quantized |y| as integer weights, so the flip
-/// metric is integer arithmetic except for the α·|y| term.
-class WbfFixedEngine final : public Engine {
-public:
-    WbfFixedEngine(const code::Dvbs2Code& code, const EngineSpec& spec)
-        : spec_(spec), wbf_(code, spec.config) {
-        ws_.staging.resize(static_cast<std::size_t>(code.n()));
-    }
-
-    void set_observer(std::function<void(const IterationTrace&)> observer) override {
-        wbf_.set_observer(std::move(observer));
-    }
-
-    const DecoderConfig& config() const noexcept override { return spec_.config; }
-    Arithmetic arithmetic() const noexcept override { return Arithmetic::Fixed; }
-    const quant::QuantSpec* quant_spec() const noexcept override { return &spec_.quant; }
-    std::string backend_name() const override { return "wbf-fixed-scalar"; }
-    std::size_t frame_length() const noexcept override { return ws_.staging.size(); }
-
-protected:
-    void do_decode_into(std::span<const double> llr, DecodeResult& out) override {
-        DVBS2_REQUIRE(llr.size() == ws_.staging.size(), "channel length mismatch");
-        for (std::size_t i = 0; i < llr.size(); ++i) {
-            DVBS2_REQUIRE(std::isfinite(llr[i]),
-                          "non-finite channel LLR at index " + std::to_string(i));
-            ws_.staging[i] = quant::quantize(llr[i], spec_.quant);
-        }
-        wbf_.decode_into(std::span<const quant::QLLR>(ws_.staging), out);
-    }
-
-    void do_decode_raw_into(std::span<const quant::QLLR> qllr, DecodeResult& out) override {
-        wbf_.decode_into(qllr, out);
-    }
-
-private:
-    EngineSpec spec_;
-    WbfDecoder<quant::QLLR> wbf_;
-    DecodeWorkspace<quant::QLLR> ws_;
-};
-
-/// Relaxed half-stochastic BP engine (float-only: the tracker state is the
-/// analog half of the algorithm).
-class RhsEngine final : public Engine {
-public:
-    RhsEngine(const code::Dvbs2Code& code, const EngineSpec& spec)
-        : spec_(spec), rhs_(code, spec.config) {
-        ws_.staging.resize(static_cast<std::size_t>(code.n()));
-    }
-
-    void set_observer(std::function<void(const IterationTrace&)> observer) override {
-        rhs_.set_observer(std::move(observer));
-    }
-
-    const DecoderConfig& config() const noexcept override { return spec_.config; }
-    Arithmetic arithmetic() const noexcept override { return Arithmetic::Float; }
-    std::string backend_name() const override { return "rhs-float-scalar"; }
-    std::size_t frame_length() const noexcept override { return ws_.staging.size(); }
-
-protected:
-    void do_decode_into(std::span<const double> llr, DecodeResult& out) override {
-        DVBS2_REQUIRE(llr.size() == ws_.staging.size(), "channel length mismatch");
-        for (std::size_t i = 0; i < llr.size(); ++i) {
-            DVBS2_REQUIRE(std::isfinite(llr[i]),
-                          "non-finite channel LLR at index " + std::to_string(i));
-            ws_.staging[i] = util::clamp_llr(llr[i]);
-        }
-        rhs_.decode_into(std::span<const double>(ws_.staging), out);
-    }
-
-private:
-    EngineSpec spec_;
-    RhsBpDecoder rhs_;
-    DecodeWorkspace<double> ws_;
-};
-
-// --------------------------------------------------------------- registry
-
-struct Registry {
-    std::mutex mu;
-    std::vector<std::pair<EngineKey, EngineBuilder>> entries;
-};
-
-Registry& registry() {
-    static Registry r;
-    static const bool builtins = [] {
-        const auto add = [](const EngineKey& key, auto tag) {
-            using E = typename decltype(tag)::type;
-            r.entries.emplace_back(
-                key, [](const code::Dvbs2Code& code, const EngineSpec& spec) {
-                    return std::unique_ptr<Engine>(std::make_unique<E>(code, spec));
-                });
-        };
-        add({Algorithm::MinSum, Arithmetic::Float, DecoderBackend::Scalar},
-            std::type_identity<FloatEngine>{});
-        add({Algorithm::MinSum, Arithmetic::Fixed, DecoderBackend::Scalar},
-            std::type_identity<FixedScalarEngine>{});
-        add({Algorithm::MinSum, Arithmetic::Fixed, DecoderBackend::Simd},
-            std::type_identity<SimdEngine>{});
-        add({Algorithm::Wbf, Arithmetic::Float, DecoderBackend::Scalar},
-            std::type_identity<WbfFloatEngine>{});
-        add({Algorithm::Wbf, Arithmetic::Fixed, DecoderBackend::Scalar},
-            std::type_identity<WbfFixedEngine>{});
-        add({Algorithm::RhsBp, Arithmetic::Float, DecoderBackend::Scalar},
-            std::type_identity<RhsEngine>{});
-        return true;
-    }();
-    (void)builtins;
-    return r;
-}
-
 }  // namespace
-
-void register_engine(const EngineKey& key, EngineBuilder builder) {
-    DVBS2_REQUIRE(builder != nullptr, "engine builder must be callable");
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (auto& entry : r.entries) {
-        if (entry.first == key) {
-            entry.second = std::move(builder);
-            return;
-        }
-    }
-    r.entries.emplace_back(key, std::move(builder));
-}
-
-bool engine_registered(const EngineKey& key) {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (const auto& entry : r.entries)
-        if (entry.first == key) return true;
-    return false;
-}
-
-std::vector<EngineKey> registered_engines() {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    std::vector<EngineKey> keys;
-    keys.reserve(r.entries.size());
-    for (const auto& entry : r.entries) keys.push_back(entry.first);
-    // Sorted by (algorithm, arithmetic, backend), not registration order, so
-    // callers that sweep the registry are deterministic.
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
 
 std::unique_ptr<Engine> make_engine(const code::Dvbs2Code& code, const EngineSpec& spec) {
     validate_engine_spec(spec);
-    const EngineKey key = engine_key(spec);
-    EngineBuilder builder;
-    {
-        Registry& r = registry();
-        std::lock_guard<std::mutex> lock(r.mu);
-        for (const auto& entry : r.entries) {
-            if (entry.first == key) {
-                builder = entry.second;
-                break;
-            }
-        }
-    }
-    DVBS2_REQUIRE(builder != nullptr, "no engine registered for " + to_string(key));
-    return builder(code, spec);
+    // validate_engine_spec rejects (Float, Simd), so the pair picks one of
+    // the three engines.
+    if (spec.arith == Arithmetic::Float) return std::make_unique<FloatEngine>(code, spec);
+    if (spec.config.backend == DecoderBackend::Simd)
+        return std::make_unique<SimdEngine>(code, spec);
+    return std::make_unique<FixedScalarEngine>(code, spec);
 }
 
 }  // namespace dvbs2::core

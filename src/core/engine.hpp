@@ -1,17 +1,18 @@
 // Unified decoder-engine layer.
 //
 // `core::Engine` is the one type-erased interface every decode backend
-// implements: the min-sum message-passing family (floating-point reference,
-// scalar fixed-point datapath model, SIMD group-parallel and frame-per-lane
-// backends), the weighted-bit-flipping decoder, and the relaxed
-// half-stochastic BP decoder all sit behind it, and every consumer — the
+// implements. There is one decoder family — the message-passing decoder of
+// core/mp_decoder.hpp (paper Eq. 4/5) — behind three engines: the
+// floating-point reference (float-scalar), the scalar fixed-point datapath
+// model (fixed-scalar) and the SIMD backend with its group-parallel and
+// frame-per-lane lane mappings (fixed-simd). Every consumer — the
 // Monte-Carlo harness, the examples, the benches, the streaming service —
-// talks to this interface only. Engines are built through a registry
-// (`make_engine`) keyed by (Algorithm, Arithmetic, DecoderBackend); the
-// full EngineSpec (schedule, rule, quantization, lane mode, per-algorithm
-// knobs) parameterizes the built instance and is validated centrally by
-// validate_engine_spec before any builder runs, so illegal combinations
-// fail in one place with a diagnostic naming the offending option.
+// talks to this interface only. `make_engine` picks the engine from the
+// spec's (Arithmetic, DecoderBackend) pair; the full EngineSpec (schedule,
+// rule, quantization, lane mode) parameterizes the built instance and is
+// validated centrally by validate_engine_spec first, so illegal
+// combinations fail in one place with a diagnostic naming the offending
+// option.
 //
 // Ownership and lifetime: an engine holds a pointer to the Dvbs2Code it was
 // built for (the code must outlive it) and owns all of its mutable state —
@@ -60,12 +61,12 @@ void validate_engine_spec(const EngineSpec& spec);
 
 /// The per-event range certificate validate_engine_spec consults for
 /// fixed-arithmetic specs: the abstract interpreter's proven bounds for the
-/// spec's (algorithm, schedule, quantizer) over the family-envelope trace
+/// spec's (schedule, rule, quantizer) over the family-envelope trace
 /// dims (worst-case degrees over every shipped long-frame rate, so one
 /// certificate covers all standard codes). Always returned checker-verified
 /// (check_range_certificate accepted it); cached per datapath key, so
-/// repeated engine construction certifies once. Works for any legal
-/// schedule/algorithm combination regardless of the quantizer width —
+/// repeated engine construction certifies once. Works for every schedule
+/// regardless of the quantizer width —
 /// `ok == false` certificates name the first overflowing event.
 analysis::ir::RangeCertificate engine_range_certificate(const EngineSpec& spec);
 
@@ -148,10 +149,10 @@ public:
     virtual int preferred_batch() const noexcept;
 
     /// Channel-frame length N this engine decodes, or 0 when the backend
-    /// does not declare one (externally registered engines that predate this
-    /// hook). When nonzero, the public decode entry points validate every
-    /// span against it up front, so mismatch diagnostics name the actual
-    /// sizes and the expected relation in one place.
+    /// does not declare one (every in-tree engine does). When nonzero, the
+    /// public decode entry points validate every span against it up front,
+    /// so mismatch diagnostics name the actual sizes and the expected
+    /// relation in one place.
     virtual std::size_t frame_length() const noexcept;
 
     // --- diagnostic hooks implemented by a subset of engines; the default
@@ -189,55 +190,10 @@ private:
     ConvergenceStats stats_;
 };
 
-/// Registry key: which builder constructs the engine. Schedule, rule,
-/// quantization and lane mode select behavior *within* a backend and travel
-/// in the EngineSpec handed to the builder; the algorithm family is part of
-/// the key because each family is a different decoder implementation.
-struct EngineKey {
-    Algorithm algorithm = Algorithm::MinSum;
-    Arithmetic arith = Arithmetic::Fixed;
-    DecoderBackend backend = DecoderBackend::Scalar;
-
-    friend constexpr bool operator==(const EngineKey&, const EngineKey&) = default;
-    /// Orders keys by (algorithm, arithmetic, backend) — the deterministic
-    /// order registered_engines() reports.
-    friend constexpr bool operator<(const EngineKey& a, const EngineKey& b) {
-        if (a.algorithm != b.algorithm) return a.algorithm < b.algorithm;
-        if (a.arith != b.arith) return a.arith < b.arith;
-        return a.backend < b.backend;
-    }
-};
-
-/// "algorithm=<a> arithmetic=<ar> backend=<b>" — the one rendering every
-/// registry/spec diagnostic uses, so errors always name the full key.
-std::string to_string(const EngineKey& key);
-
-/// The registry key an EngineSpec selects.
-inline EngineKey engine_key(const EngineSpec& spec) {
-    return EngineKey{spec.config.algorithm, spec.arith, spec.config.backend};
-}
-
-/// Builds one engine for a validated spec; the code must outlive the engine.
-using EngineBuilder =
-    std::function<std::unique_ptr<Engine>(const code::Dvbs2Code& code, const EngineSpec& spec)>;
-
-/// Registers (or replaces) the builder for `key`. The six in-tree engines
-/// (min-sum: float-scalar, fixed-scalar, fixed-simd; WBF: float-scalar,
-/// fixed-scalar; RHS-BP: float-scalar) are pre-registered; future backends
-/// (GPU, distributed) add themselves here.
-void register_engine(const EngineKey& key, EngineBuilder builder);
-
-/// True iff a builder is registered for `key`.
-bool engine_registered(const EngineKey& key);
-
-/// All currently registered keys, sorted by (algorithm, arithmetic,
-/// backend) — deterministic regardless of registration order.
-std::vector<EngineKey> registered_engines();
-
-/// The factory: validates `spec` (validate_engine_spec), looks up the
-/// builder for engine_key(spec) and builds the engine. Throws
-/// std::runtime_error on an invalid spec or an unregistered key; both
-/// diagnostics name the algorithm along with the rest of the key.
+/// The factory: validates `spec` (validate_engine_spec), then builds the
+/// engine for its (Arithmetic, DecoderBackend) pair — float-scalar,
+/// fixed-scalar or fixed-simd. Throws std::runtime_error naming the
+/// offending option on an invalid spec.
 std::unique_ptr<Engine> make_engine(const code::Dvbs2Code& code, const EngineSpec& spec);
 
 }  // namespace dvbs2::core

@@ -19,7 +19,7 @@
 //                      never starve
 //                               │
 //                               ▼
-//           N shard workers, one registry engine per (worker, class) —
+//           N shard workers, one engine per (worker, class) —
 //           engines are never shared across threads (single-writer
 //           contract, core/engine.hpp)
 //                               │
@@ -29,10 +29,8 @@
 //           via Engine::convergence_snapshot()
 //
 // A "class" is one (code, EngineSpec) combination — i.e. (rate, quant,
-// algorithm, schedule, backend): only frames of the same class can share a
-// SIMD lane block, so the class is the coalescing key, and two streams that
-// differ only in decoding algorithm land in distinct classes (the SLA
-// router in service/sla.hpp exploits exactly that). A "stream" is one
+// schedule, rule, backend): only frames of the same class can share a SIMD
+// lane block, so the class is the coalescing key. A "stream" is one
 // tenant's ordered frame sequence within a class; thousands of streams may
 // share a class.
 //

@@ -24,8 +24,8 @@ double parse_double(const std::string& text, const std::string& what);
 class CliArgs {
 public:
     /// Parses argv; `allowed` lists the option names (without "--") the
-    /// program accepts. Throws std::runtime_error on an unknown option or a
-    /// malformed argument.
+    /// program accepts. Throws std::runtime_error on an unknown option, with
+    /// a message naming it and every accepted option.
     CliArgs(int argc, const char* const* argv, std::vector<std::string> allowed);
 
     /// True if --name was present (with or without a value).

@@ -445,41 +445,6 @@ TEST(LintDataflow, ShippedToyConfigurationReportsTheProofNotes) {
         << live[0].message;
 }
 
-TEST(LintDataflow, AlgorithmRuleNeverSilentlyAssumesMinSum) {
-    // Default (min-sum) configurations get an explicit supporting note, not
-    // silence: the verdict names the algorithm and the SIMD availability.
-    da::LintOptions opts;
-    opts.anneal.iterations = 800;
-    const auto ok = da::lint_configuration(toy(), opts);
-    ASSERT_TRUE(ok.has("schedule.dataflow.algorithm"));
-    const auto note = ok.by_rule("schedule.dataflow.algorithm");
-    EXPECT_EQ(note[0].severity, da::Severity::Note);
-    EXPECT_NE(note[0].location.find("algorithm=min-sum"), std::string::npos)
-        << note[0].location;
-
-    // WBF pinned to a multi-level check schedule: the rule errors with the
-    // derived obstruction instead of linting a min-sum that will not run.
-    opts.decoder.algorithm = dd::Algorithm::Wbf;
-    opts.decoder.schedule = dd::Schedule::Layered;
-    const auto bad = da::lint_configuration(toy(), opts);
-    EXPECT_FALSE(bad.clean());
-    const auto err = bad.by_rule("schedule.dataflow.algorithm");
-    ASSERT_FALSE(err.empty());
-    EXPECT_EQ(err[0].severity, da::Severity::Error);
-    EXPECT_NE(err[0].location.find("algorithm=wbf"), std::string::npos) << err[0].location;
-    EXPECT_FALSE(err[0].fix_hint.empty());
-
-    // On its supported schedule WBF lints clean again, with the note saying
-    // the SIMD backend is unavailable for this family.
-    opts.decoder.schedule = dd::Schedule::TwoPhase;
-    const auto good = da::lint_configuration(toy(), opts);
-    const auto wbf_note = good.by_rule("schedule.dataflow.algorithm");
-    ASSERT_FALSE(wbf_note.empty());
-    EXPECT_EQ(wbf_note[0].severity, da::Severity::Note);
-    EXPECT_NE(wbf_note[0].message.find("unavailable"), std::string::npos)
-        << wbf_note[0].message;
-}
-
 TEST(LintDataflow, CorruptSlotStreamTripsTheDataflowRules) {
     const dc::Dvbs2Code code(toy());
     const dr::HardwareMapping mapping(code);

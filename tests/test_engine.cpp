@@ -1,6 +1,7 @@
 // Unified engine-layer suite (core/engine.hpp):
 //
-//   * registry mechanics — builtin keys, registration/replacement;
+//   * factory — make_engine builds the three engines (float-scalar,
+//     fixed-scalar, fixed-simd) from the spec's (arithmetic, backend) pair;
 //   * central validation — every illegal (arithmetic, backend, schedule,
 //     lane-mode, rule-parameter, quantizer) combination is rejected with a
 //     diagnostic naming the offending option, through make_engine AND the
@@ -120,78 +121,26 @@ dd::EngineSpec spec_of(dd::Arithmetic arith, dd::DecoderBackend backend, dd::Sch
 // ---------------------------------------------------------------- registry
 
 TEST(EngineRegistry, BuiltinsAreRegistered) {
-    // The six in-tree engines across the (Algorithm, Arithmetic, Backend)
-    // key; the full-matrix round trip lives in tests/test_algorithms.cpp.
-    const dd::EngineKey builtins[] = {
-        {dd::Algorithm::MinSum, dd::Arithmetic::Float, dd::DecoderBackend::Scalar},
-        {dd::Algorithm::MinSum, dd::Arithmetic::Fixed, dd::DecoderBackend::Scalar},
-        {dd::Algorithm::MinSum, dd::Arithmetic::Fixed, dd::DecoderBackend::Simd},
-        {dd::Algorithm::Wbf, dd::Arithmetic::Float, dd::DecoderBackend::Scalar},
-        {dd::Algorithm::Wbf, dd::Arithmetic::Fixed, dd::DecoderBackend::Scalar},
-        {dd::Algorithm::RhsBp, dd::Arithmetic::Float, dd::DecoderBackend::Scalar},
+    // make_engine builds exactly one engine per legal (arithmetic, backend)
+    // pair; (float, simd) is rejected by validation (see
+    // EngineValidation.FloatRejectsSimdBackend).
+    const struct {
+        dd::Arithmetic arith;
+        dd::DecoderBackend backend;
+        const char* name_prefix;
+    } builtins[] = {
+        {dd::Arithmetic::Float, dd::DecoderBackend::Scalar, "float-scalar"},
+        {dd::Arithmetic::Fixed, dd::DecoderBackend::Scalar, "fixed-scalar"},
+        {dd::Arithmetic::Fixed, dd::DecoderBackend::Simd, "fixed-simd"},
     };
-    for (const auto& key : builtins) EXPECT_TRUE(dd::engine_registered(key));
-
-    const auto keys = dd::registered_engines();
-    ASSERT_GE(keys.size(), 6u);
-    int found = 0;
-    for (const auto& k : keys)
-        for (const auto& b : builtins)
-            if (k == b) ++found;
-    EXPECT_EQ(found, 6);
-}
-
-namespace {
-
-/// Minimal engine used only to exercise registration/replacement.
-class NullEngine : public dd::Engine {
-public:
-    explicit NullEngine(const dd::EngineSpec& spec) : spec_(spec) {}
-    void set_observer(std::function<void(const dd::IterationTrace&)>) override {}
-    const dd::DecoderConfig& config() const noexcept override { return spec_.config; }
-    dd::Arithmetic arithmetic() const noexcept override { return spec_.arith; }
-    std::string backend_name() const override { return "null"; }
-
-protected:
-    void do_decode_into(std::span<const double>, dd::DecodeResult& out) override {
-        out.converged = false;
-        out.iterations = 0;
+    for (const auto& b : builtins) {
+        const auto eng =
+            dd::make_engine(toy_code(), spec_of(b.arith, b.backend, dd::Schedule::TwoPhase));
+        ASSERT_NE(eng, nullptr) << b.name_prefix;
+        EXPECT_EQ(eng->arithmetic(), b.arith) << b.name_prefix;
+        EXPECT_EQ(eng->config().backend, b.backend) << b.name_prefix;
+        EXPECT_EQ(eng->backend_name().rfind(b.name_prefix, 0), 0u) << eng->backend_name();
     }
-
-private:
-    dd::EngineSpec spec_;
-};
-
-}  // namespace
-
-TEST(EngineRegistry, RegisterAndReplace) {
-    // (Float, Simd) has no builtin builder (validate_engine_spec rejects the
-    // combination before lookup), so it is a safe scratch key.
-    const dd::EngineKey key{dd::Algorithm::MinSum, dd::Arithmetic::Float, dd::DecoderBackend::Simd};
-    EXPECT_FALSE(dd::engine_registered(key));
-
-    dd::register_engine(key, [](const dc::Dvbs2Code&, const dd::EngineSpec& spec) {
-        return std::unique_ptr<dd::Engine>(new NullEngine(spec));
-    });
-    EXPECT_TRUE(dd::engine_registered(key));
-
-    // Re-registering the same key replaces the entry instead of duplicating.
-    dd::register_engine(key, [](const dc::Dvbs2Code&, const dd::EngineSpec& spec) {
-        return std::unique_ptr<dd::Engine>(new NullEngine(spec));
-    });
-    int count = 0;
-    for (const auto& k : dd::registered_engines())
-        if (k == key) ++count;
-    EXPECT_EQ(count, 1);
-
-    // make_engine still refuses the combination: validation runs first.
-    expect_throws_mentioning(
-        [&] {
-            (void)dd::make_engine(toy_code(), spec_of(dd::Arithmetic::Float,
-                                                      dd::DecoderBackend::Simd,
-                                                      dd::Schedule::ZigzagSegmented));
-        },
-        {"fixed"}, "float+simd with a registered builder");
 }
 
 TEST(EngineRegistry, MakeEngineReportsSpec) {
@@ -633,21 +582,24 @@ TEST(EngineMonteCarlo, SweepEngineMatchesPointCalls) {
 
 // ------------------------------------------- early-stop agreement property
 
-// Property: for every registered engine and any channel, when an
+// Property: for every engine and schedule and any channel, when an
 // early-stopping decode reports convergence, the full-budget decode of the
 // same frame yields the same hard-decision codeword. (Once the syndrome is
 // satisfied every variable's sign is fixed by a valid codeword; further
-// iterations only sharpen magnitudes.) NullEngine may occupy the scratch
-// (Float, Simd) key when the registry tests ran first, so specs the
-// validator rejects are skipped rather than failed.
+// iterations only sharpen magnitudes.) Every (arithmetic, backend) x
+// schedule pair is legal, so a spec that stops building fails the test.
 TEST(EngineProperties, EarlyStopConvergedMatchesFullBudgetCodeword) {
     const auto& code = toy_code();
     const double snrs[] = {1.0, 2.5, 4.0};
-    for (const auto& key : dd::registered_engines()) {
-        // The property is about the MP family's early stop; the WBF and
-        // RHS-BP families have their own convergence tests in
-        // tests/test_algorithms.cpp.
-        if (key.algorithm != dd::Algorithm::MinSum) continue;
+    const struct {
+        dd::Arithmetic arith;
+        dd::DecoderBackend backend;
+    } engines[] = {
+        {dd::Arithmetic::Float, dd::DecoderBackend::Scalar},
+        {dd::Arithmetic::Fixed, dd::DecoderBackend::Scalar},
+        {dd::Arithmetic::Fixed, dd::DecoderBackend::Simd},
+    };
+    for (const auto& key : engines) {
         for (const dd::Schedule schedule :
              {dd::Schedule::TwoPhase, dd::Schedule::ZigzagForward, dd::Schedule::ZigzagSegmented,
               dd::Schedule::ZigzagMap, dd::Schedule::Layered}) {
@@ -655,13 +607,8 @@ TEST(EngineProperties, EarlyStopConvergedMatchesFullBudgetCodeword) {
             es_spec.config.early_stop = true;
             auto full_spec = es_spec;
             full_spec.config.early_stop = false;
-            std::unique_ptr<dd::Engine> es, full;
-            try {
-                es = dd::make_engine(code, es_spec);
-                full = dd::make_engine(code, full_spec);
-            } catch (const std::runtime_error&) {
-                continue;  // combination rejected by validate_engine_spec
-            }
+            const auto es = dd::make_engine(code, es_spec);
+            const auto full = dd::make_engine(code, full_spec);
             const std::string which =
                 std::string(dd::to_string(key.arith)) + "+" + dd::to_string(key.backend) + "+" +
                 dd::to_string(schedule);
@@ -681,11 +628,8 @@ TEST(EngineProperties, EarlyStopConvergedMatchesFullBudgetCodeword) {
                 EXPECT_LE(a.iterations, b.iterations) << which;
             }
             // The property must not pass vacuously: at these SNRs the toy
-            // code converges for at least the easy frames on every real
-            // backend (NullEngine never converges and asserts nothing).
-            if (es->backend_name() != "null") {
-                EXPECT_GE(converged_seen, 2) << which;
-            }
+            // code converges for at least the easy frames on every engine.
+            EXPECT_GE(converged_seen, 2) << which;
         }
     }
 }

@@ -47,6 +47,15 @@ TEST(ProfileSolver, AvgDegreeHeuristicMatchesStandardAnchors) {
     EXPECT_NEAR(dc::dvbs2_like_avg_degree(0.9), 3.2, 0.2);
 }
 
+namespace dvbs2::code {
+// gtest's fallback printer dumps the raw bytes of the spec, including the
+// heap address held by `label`, and CTest bakes that dump into the names it
+// discovers, so every build would name these tests differently.
+void PrintTo(const XRateSpec& spec, std::ostream* os) {
+    *os << spec.label << " (k=" << spec.k << ")";
+}
+}  // namespace dvbs2::code
+
 class XRates : public ::testing::TestWithParam<dc::XRateSpec> {};
 
 TEST_P(XRates, ProfileIsValidAndStructurallySound) {

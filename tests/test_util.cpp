@@ -151,8 +151,19 @@ TEST(Cli, ParsesValuesAndFlags) {
 }
 
 TEST(Cli, RejectsUnknownOption) {
+    // The message is what every CLI program prints for a typo or --help: it
+    // names the bad option and the accepted ones, and is a plain usage error
+    // rather than an internal-requirement failure.
     const char* argv[] = {"prog", "--bogus=1"};
-    EXPECT_THROW(du::CliArgs(2, argv, {"rate"}), std::runtime_error);
+    try {
+        du::CliArgs(2, argv, {"rate", "ebn0"});
+        FAIL() << "expected std::runtime_error for --bogus";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown option --bogus"), std::string::npos) << what;
+        EXPECT_NE(what.find("--ebn0"), std::string::npos) << what;
+        EXPECT_EQ(what.find("requirement failed"), std::string::npos) << what;
+    }
 }
 
 TEST(Cli, MalformedNumericValueThrowsNamingTheFlag) {
