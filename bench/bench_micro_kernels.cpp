@@ -1,13 +1,15 @@
 // Experiment E11 — google-benchmark microbenchmarks of the decoder kernels:
 // pairwise combine operators, check-node extrinsic computation across the
 // degree range of the DVB-S2 rates, variable-node update, the shuffle
-// network, encoding, and end-to-end decode iterations (software throughput
-// of the bit-accurate model).
+// network, encoding, end-to-end decode iterations (software throughput
+// of the bit-accurate model), and the outer BCH code of the rate-1/2 long
+// frame: encode, the clean-word decode and a decode with t errors.
 #include <benchmark/benchmark.h>
 
 #include "arch/mapping.hpp"
 #include "arch/rtl_model.hpp"
 #include "arch/shuffle.hpp"
+#include "bch/bch.hpp"
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
 #include "core/arith.hpp"
@@ -31,6 +33,15 @@ std::vector<double> noisy_llr(const code::Dvbs2Code& c, double ebn0, std::uint64
     const auto cw = enc.encode(enc::random_info_bits(c.k(), seed));
     comm::AwgnModem modem(comm::Modulation::Bpsk, seed + 9);
     return modem.transmit(cw, comm::noise_sigma(ebn0, c.params().rate(), comm::Modulation::Bpsk));
+}
+
+/// Outer BCH code of the rate-1/2 long frame: GF(2^16), t = 12, n = 32400.
+const bch::BchCode& bch_rate_half() {
+    static const bch::BchCode c = [] {
+        const auto p = bch::dvbs2_bch_params(code::CodeRate::R1_2);
+        return bch::BchCode(p.m, p.t, p.n_bch);
+    }();
+    return c;
 }
 
 }  // namespace
@@ -119,6 +130,34 @@ static void BM_SyndromeRateHalf(benchmark::State& state) {
     for (auto _ : state) benchmark::DoNotOptimize(rate_half().syndrome(cw));
 }
 BENCHMARK(BM_SyndromeRateHalf);
+
+static void BM_BchEncode(benchmark::State& state) {
+    const auto& bch = bch_rate_half();
+    const auto info = enc::random_info_bits(bch.k(), 7);
+    for (auto _ : state) benchmark::DoNotOptimize(bch.encode(info));
+    state.SetItemsProcessed(state.iterations() * bch.k());
+}
+BENCHMARK(BM_BchEncode)->Unit(benchmark::kMicrosecond);
+
+static void BM_BchDecodeClean(benchmark::State& state) {
+    const auto& bch = bch_rate_half();
+    const auto cw = bch.encode(enc::random_info_bits(bch.k(), 8));
+    for (auto _ : state) benchmark::DoNotOptimize(bch.decode(cw));
+    state.SetItemsProcessed(state.iterations() * bch.k());
+}
+BENCHMARK(BM_BchDecodeClean)->Unit(benchmark::kMicrosecond);
+
+static void BM_BchDecodeTErrors(benchmark::State& state) {
+    // t errors spread over the whole word, the last one in the parity, so
+    // the Chien search scans every position before it has found all t.
+    const auto& bch = bch_rate_half();
+    auto rx = bch.encode(enc::random_info_bits(bch.k(), 9));
+    for (int e = 0; e < bch.t(); ++e)
+        rx.flip(static_cast<std::size_t>(bch.n() - 1 - e * (bch.n() / bch.t())));
+    for (auto _ : state) benchmark::DoNotOptimize(bch.decode(rx));
+    state.SetItemsProcessed(state.iterations() * bch.k());
+}
+BENCHMARK(BM_BchDecodeTErrors)->Unit(benchmark::kMicrosecond);
 
 static void BM_DecodeIterationFloat(benchmark::State& state) {
     core::DecoderConfig cfg;

@@ -3,7 +3,7 @@
 // the complete concatenation the IP core sits in: the BCH code cleans the
 // residual errors of the LDPC decoder (the "error floor" remover).
 //
-//   ./fec_chain [--rate=1/2] [--ebn0=1.0] [--frames=4] [--seed=3]
+//   ./fec_chain [--rate=1/2] [--frame=long|short] [--ebn0=1.0] [--frames=4] [--seed=3]
 #include <iostream>
 
 #include "bch/bch.hpp"
@@ -24,29 +24,38 @@ code::CodeRate parse_rate(const std::string& s) {
     throw std::runtime_error("unknown rate " + s);
 }
 
+code::FrameSize parse_frame(const std::string& s) {
+    if (s == "long") return code::FrameSize::Long;
+    if (s == "short") return code::FrameSize::Short;
+    throw std::runtime_error("--frame: expected long or short, got \"" + s + "\"");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
-    const util::CliArgs args(argc, argv, {"rate", "ebn0", "frames", "seed"});
+    const util::CliArgs args(argc, argv, {"rate", "frame", "ebn0", "frames", "seed"});
     const auto rate = parse_rate(args.get("rate", "1/2"));
+    const auto frame = parse_frame(args.get("frame", "long"));
     const double ebn0 = args.get_double("ebn0", 1.0);
     const int frames = static_cast<int>(args.get_int("frames", 4));
     const auto seed0 = static_cast<std::uint64_t>(args.get_int("seed", 3));
 
-    // Outer BCH: N_bch = K_ldpc (Table 5a).
-    const auto bch_prm = bch::dvbs2_bch_params(rate);
-    const bch::BchCode outer(16, bch_prm.t, bch_prm.n_bch);
+    // Outer BCH: N_bch = K_ldpc (Table 5a long, 5b short).
+    const auto bch_prm = bch::dvbs2_bch_params(rate, frame);
+    const bch::BchCode outer(bch_prm.m, bch_prm.t, bch_prm.n_bch);
     // Inner LDPC.
-    const code::Dvbs2Code inner(code::standard_params(rate));
+    const code::Dvbs2Code inner(code::standard_params(rate, frame));
     const enc::Encoder ldpc_enc(inner);
     core::DecoderConfig cfg;
     cfg.max_iterations = 30;
     const auto ldpc_dec =
         core::make_engine(inner, {core::Arithmetic::Fixed, cfg, quant::kQuant6});
 
-    std::cout << "DVB-S2 FEC frame, rate " << code::to_string(rate) << ":\n"
+    std::cout << "DVB-S2 FEC frame, rate " << code::to_string(rate)
+              << (frame == code::FrameSize::Short ? " (short)" : " (long)") << ":\n"
               << "  BCH(" << outer.n() << ", " << outer.k() << ", t=" << outer.t()
-              << ") over GF(2^16)  ->  LDPC(" << inner.n() << ", " << inner.k() << ")\n"
+              << ") over GF(2^" << bch_prm.m << ")  ->  LDPC(" << inner.n() << ", "
+              << inner.k() << ")\n"
               << "  payload " << outer.k() << " bits per " << inner.n() << "-bit frame\n\n";
 
     const double sigma = comm::noise_sigma(ebn0, inner.params().rate(), comm::Modulation::Bpsk);

@@ -1,16 +1,19 @@
 // Binary BCH codec — the outer code of the DVB-S2 FEC frame.
 //
-// DVB-S2 concatenates a t-error-correcting BCH code (t ∈ {8, 10, 12},
-// GF(2^16)) with the LDPC inner code: BCHFEC output length equals K_ldpc.
+// DVB-S2 concatenates a t-error-correcting BCH code (long frames: t ∈ {8,
+// 10, 12} over GF(2^16); short frames: t = 12 over GF(2^14)) with the LDPC
+// inner code: BCHFEC output length equals K_ldpc.
 // The DATE'05 paper covers only the LDPC decoder; this module completes the
 // FEC chain so the repository is usable as a full DVB-S2 FEC stack (see
 // examples/fec_chain.cpp).
 //
 // Generic construction: g(x) = lcm of the minimal polynomials of
-// α, α³, …, α^(2t−1); systematic encoding by LFSR division; decoding by
-// syndrome computation, Berlekamp–Massey, and Chien search (binary code:
-// error magnitudes are all 1). Shortening is implicit: any k ≤ k_max is
-// encoded as if the leading information bits were zero.
+// α, α³, …, α^(2t−1). Encoding, the codeword test and decoding share one
+// table-driven LFSR division, R(x) = x^P·w(x) mod g(x) taken a byte at a
+// time. A word is a codeword iff R = 0; otherwise the 2t syndromes follow
+// from the ≤ P-bit remainder, then Berlekamp–Massey and a log-domain Chien
+// search (binary code: error magnitudes are all 1). Shortening is implicit:
+// any k ≤ k_max is encoded as if the leading information bits were zero.
 #pragma once
 
 #include <memory>
@@ -33,8 +36,9 @@ struct BchDecodeResult {
 /// `n` (information length n − parity_bits()).
 class BchCode {
 public:
-    /// Builds the code. `n` ≤ 2^m − 1 is the (shortened) codeword length;
-    /// it must leave at least one information bit after the m·t-ish parity.
+    /// Builds the code. Requires 2t − 1 < 2^m − 1. `n` ≤ 2^m − 1 is the
+    /// (shortened) codeword length; it must leave at least one information
+    /// bit after the m·t-ish parity.
     BchCode(int m, int t, int n);
     ~BchCode();
     BchCode(BchCode&&) noexcept;
@@ -48,7 +52,7 @@ public:
     /// Systematic encode: information bits first, then parity.
     util::BitVec encode(const util::BitVec& info) const;
 
-    /// True iff all syndromes vanish.
+    /// True iff g(x) divides the word (all syndromes vanish).
     bool is_codeword(const util::BitVec& word) const;
 
     /// Decodes (corrects up to t bit errors in place of a copy).
@@ -59,14 +63,18 @@ private:
     std::unique_ptr<Impl> impl_;
 };
 
-/// The DVB-S2 outer-code parameters for a long-frame LDPC rate:
-/// N_bch = K_ldpc, with t and K_bch per EN 302 307 Table 5a.
+/// The DVB-S2 outer-code parameters for an LDPC rate and frame size:
+/// N_bch = K_ldpc, with m, t and K_bch per EN 302 307 Table 5a (long) or
+/// Table 5b (short).
 struct Dvbs2BchParams {
+    int m = 0;      ///< field GF(2^m): 16 long, 14 short
     int t = 0;
     int n_bch = 0;  ///< = K_ldpc
-    int k_bch = 0;  ///< = N_bch − 16·t
+    int k_bch = 0;  ///< = N_bch − m·t
 };
 
-Dvbs2BchParams dvbs2_bch_params(code::CodeRate rate);
+/// Throws for a rate the frame size does not define (9/10 short).
+Dvbs2BchParams dvbs2_bch_params(code::CodeRate rate,
+                                code::FrameSize frame = code::FrameSize::Long);
 
 }  // namespace dvbs2::bch

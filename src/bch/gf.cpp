@@ -1,5 +1,7 @@
 #include "bch/gf.hpp"
 
+#include <algorithm>
+
 namespace dvbs2::bch {
 
 std::uint32_t GaloisField::default_primitive_poly(int m) {
@@ -28,22 +30,21 @@ GaloisField::GaloisField(int m, std::uint32_t prim_poly) : m_(m) {
     DVBS2_REQUIRE(m >= 2 && m <= 16, "GF(2^m) supported for 2 <= m <= 16");
     if (prim_poly == 0) prim_poly = default_primitive_poly(m);
     order_ = (1u << m) - 1u;
-    exp_.assign(order_, 0);
+    exp_.assign(2 * static_cast<std::size_t>(order_), 0);
     log_.assign(order_ + 1u, 0);
 
     std::uint32_t x = 1;
     for (std::uint32_t i = 0; i < order_; ++i) {
         DVBS2_REQUIRE(!(i > 0 && x == 1),
                       "polynomial is not primitive: alpha has order " + std::to_string(i));
-        exp_[i] = x;
-        log_[x] = i;
+        exp_[i] = static_cast<std::uint16_t>(x);
+        log_[x] = static_cast<std::uint16_t>(i);
         x <<= 1;
         if (x > order_) x ^= prim_poly;
     }
-    DVBS2_REQUIRE((exp_[order_ - 1] << 1 > order_
-                       ? ((exp_[order_ - 1] << 1) ^ prim_poly)
-                       : exp_[order_ - 1] << 1) == 1,
-                  "polynomial does not generate the full multiplicative group");
+    // x = alpha^order now, which must close the cycle.
+    DVBS2_REQUIRE(x == 1, "polynomial does not generate the full multiplicative group");
+    std::copy(exp_.begin(), exp_.begin() + order_, exp_.begin() + order_);
 }
 
 }  // namespace dvbs2::bch

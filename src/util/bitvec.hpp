@@ -43,6 +43,13 @@ public:
         words_[i >> 6] ^= std::uint64_t{1} << (i & 63);
     }
 
+    /// Storage word w (w < (size() + 63) / 64): bit i of the vector is bit
+    /// i mod 64 of word i / 64. Bits at or past size() are zero.
+    std::uint64_t word(std::size_t w) const noexcept {
+        DVBS2_ASSERT(w < words_.size());
+        return words_[w];
+    }
+
     /// Sets all bits to zero, keeping the size.
     void clear() noexcept {
         for (auto& w : words_) w = 0;

@@ -84,7 +84,7 @@ TEST(Integration, BchCleansResidualLdpcErrors) {
     // Inject exactly 3 bit errors into a BCH codeword (as a stuck LDPC
     // decode would leave) and verify end-to-end payload recovery.
     const auto prm = db::dvbs2_bch_params(dc::CodeRate::R1_2);
-    const db::BchCode outer(16, prm.t, prm.n_bch);
+    const db::BchCode outer(prm.m, prm.t, prm.n_bch);
     const BitVec payload = dvbs2::enc::random_info_bits(outer.k(), 9);
     BitVec bch_cw = outer.encode(payload);
     bch_cw.flip(100);
@@ -99,13 +99,16 @@ TEST(Integration, BchCleansResidualLdpcErrors) {
 }
 
 TEST(Integration, FecFrameGeometryMatchesStandard) {
-    // K_bch + 16t = K_ldpc for every rate: the BCH output exactly fills the
-    // LDPC information block (no padding).
-    for (auto rate : dc::all_rates()) {
-        const auto prm = db::dvbs2_bch_params(rate);
-        const auto ldpc = dc::standard_params(rate);
-        EXPECT_EQ(prm.n_bch, ldpc.k) << dc::to_string(rate);
-        EXPECT_EQ(prm.k_bch + 16 * prm.t, ldpc.k) << dc::to_string(rate);
+    // K_bch + m·t = K_ldpc for every rate and frame size: the BCH output
+    // exactly fills the LDPC information block (no padding).
+    for (auto frame : {dc::FrameSize::Long, dc::FrameSize::Short}) {
+        for (auto rate : dc::rates_for(frame)) {
+            const auto prm = db::dvbs2_bch_params(rate, frame);
+            const auto ldpc = dc::standard_params(rate, frame);
+            EXPECT_EQ(prm.m, frame == dc::FrameSize::Long ? 16 : 14) << dc::to_string(rate);
+            EXPECT_EQ(prm.n_bch, ldpc.k) << dc::to_string(rate);
+            EXPECT_EQ(prm.k_bch + prm.m * prm.t, ldpc.k) << dc::to_string(rate);
+        }
     }
 }
 
