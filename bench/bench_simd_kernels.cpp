@@ -2,16 +2,19 @@
 // lane mappings vs the scalar MpDecoder<FixedArith> reference, per schedule,
 // on the full-size code:
 //
-//   * group-parallel (lane = functional unit): single-frame decoding,
-//     TwoPhase and ZigzagSegmented schedules only;
+//   * group-parallel (lane = functional unit): single-frame decoding, on the
+//     schedules analysis::ir::classify_schedule proves natively lockstep-
+//     legal (TwoPhase, ZigzagSegmented); null for the others;
 //   * frame-per-lane (lane = frame): batched decoding of W frames in
-//     lockstep, every schedule.
+//     lockstep, every schedule;
+//   * single: Engine::decode_batch of one frame on the SIMD engine — the
+//     call the decode service makes for a lone frame — every schedule.
 //
-// Every timed channel vector is also used for a message-level bit-exactness
-// check (c2v / v2c / backward state for the group engine, per-lane c2v
-// extraction for the batch engine); any divergence makes the bench exit
-// nonzero, so the CI perf-smoke job doubles as an end-to-end equivalence
-// gate.
+// Every timed channel vector is also used for a bit-exactness check
+// (c2v / v2c / backward state for the group engine, per-lane c2v
+// extraction for the batch engine, the decoded result for the one-frame
+// engine call); any divergence makes the bench exit nonzero, so the CI
+// perf-smoke job doubles as an end-to-end equivalence gate.
 //
 // A second section measures per-lane early termination with lane compaction
 // (decode_stream) on real noisy frames at an operating SNR: fixed-budget vs
@@ -33,12 +36,13 @@
 #include <string>
 #include <vector>
 
-#include "analysis/ir/transform.hpp"
+#include "analysis/ir/analyses.hpp"
 #include "bench_common.hpp"
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
 #include "core/arith.hpp"
 #include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "core/mp_decoder.hpp"
 #include "core/simd/batch_decoder.hpp"
 #include "core/simd/simd_decoder.hpp"
@@ -75,6 +79,7 @@ struct Row {
     double scalar_mbps = 0.0;
     double simd_mbps = 0.0;   // group-parallel, single frame
     double batch_mbps = 0.0;  // frame-per-lane, W frames per block
+    double single_mbps = 0.0; // Engine::decode_batch of one frame
     double speedup = 0.0;       // group vs scalar
     double batch_speedup = 0.0; // batch vs scalar
     bool bit_exact = false;
@@ -109,6 +114,46 @@ double time_batch_engine(core::SimdBatchFixedDecoder& eng, const std::vector<qua
     }
     const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     return s > 0.0 ? static_cast<double>(n_bits) * static_cast<double>(frames) / s / 1e6 : 0.0;
+}
+
+/// Times one-frame Engine::decode_batch calls over `channels` on the SIMD
+/// engine (fixed budget of `iters` iterations, no early stop); returns coded
+/// Mbit/s. `exact` reports whether every decode equals the fixed scalar
+/// engine's result on the same channel.
+double time_single_frame_batch(const code::Dvbs2Code& code, const core::DecoderConfig& cfg,
+                               const std::vector<std::vector<quant::QLLR>>& channels, int iters,
+                               bool& exact) {
+    core::EngineSpec spec;
+    spec.config = cfg;
+    spec.config.max_iterations = iters;
+    spec.config.early_stop = false;
+    spec.quant = quant::kQuant6;
+    const auto scalar = core::make_engine(code, spec);
+    spec.config.backend = core::DecoderBackend::Simd;
+    const auto eng = core::make_engine(code, spec);
+    // Dequantized LLRs quantize back to exactly the raw channel values.
+    std::vector<std::vector<double>> llrs;
+    for (const auto& ch : channels) {
+        std::vector<double> llr(ch.size());
+        for (std::size_t i = 0; i < ch.size(); ++i) llr[i] = quant::dequantize(ch[i], quant::kQuant6);
+        llrs.push_back(std::move(llr));
+    }
+    std::vector<core::DecodeResult> out(1);
+    eng->decode_batch(llrs[0], out);  // warmup: sizes workspace and result
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto& llr : llrs) eng->decode_batch(llr, out);
+    const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+
+    exact = true;
+    core::DecodeResult ref;
+    for (std::size_t f = 0; f < channels.size() && exact; ++f) {
+        eng->decode_batch(llrs[f], out);
+        scalar->decode_raw_into(channels[f], ref);
+        exact = out[0].converged == ref.converged && out[0].iterations == ref.iterations &&
+                out[0].codeword == ref.codeword;
+    }
+    return s > 0.0 ? static_cast<double>(code.n()) * static_cast<double>(channels.size()) / s / 1e6
+                   : 0.0;
 }
 
 /// Encoded random codewords through an AWGN channel at `ebn0_db`, quantized
@@ -230,8 +275,8 @@ int main(int argc, char** argv) {
     double max_speedup = 0.0;
     double max_batch_speedup = 0.0;
     util::TextTable t;
-    t.set_header({"Schedule", "scalar Mbit/s", "group Mbit/s", "batch Mbit/s", "group x",
-                  "batch x", "bit-exact"});
+    t.set_header({"Schedule", "scalar Mbit/s", "group Mbit/s", "batch Mbit/s",
+                  "single Mbit/s", "group x", "batch x", "bit-exact"});
     for (const core::Schedule schedule :
          {core::Schedule::TwoPhase, core::Schedule::ZigzagForward,
           core::Schedule::ZigzagSegmented, core::Schedule::ZigzagMap, core::Schedule::Layered}) {
@@ -244,10 +289,9 @@ int main(int argc, char** argv) {
 
         Row row;
         row.schedule = core::to_string(schedule);
-        // Group-parallel support is derived from the schedule transformer:
-        // natively lockstep-legal schedules plus those with a certified
-        // rewrite (all five, as of the transform pass).
-        row.has_group = analysis::ir::group_parallel_supported(schedule);
+        // Group-parallel support is derived from the dataflow IR: only the
+        // natively lockstep-legal schedules have a group-parallel decoder.
+        row.has_group = analysis::ir::classify_schedule(schedule).group_parallel_legal;
         row.scalar_mbps = time_engine(scalar, channels, iters, code.n());
 
         row.bit_exact = true;
@@ -271,6 +315,9 @@ int main(int argc, char** argv) {
         row.batch_speedup = row.scalar_mbps > 0.0 ? row.batch_mbps / row.scalar_mbps : 0.0;
         row.bit_exact =
             row.bit_exact && batch_lanes_exact(scalar, batch, flat, channels, n, iters);
+        bool single_exact = false;
+        row.single_mbps = time_single_frame_batch(code, cfg, channels, iters, single_exact);
+        row.bit_exact = row.bit_exact && single_exact;
 
         all_exact = all_exact && row.bit_exact;
         max_speedup = std::max(max_speedup, row.speedup);
@@ -279,6 +326,7 @@ int main(int argc, char** argv) {
         t.add_row({row.schedule, util::TextTable::num(row.scalar_mbps, 1),
                    row.has_group ? util::TextTable::num(row.simd_mbps, 1) : "-",
                    util::TextTable::num(row.batch_mbps, 1),
+                   util::TextTable::num(row.single_mbps, 1),
                    row.has_group ? util::TextTable::num(row.speedup, 2) : "-",
                    util::TextTable::num(row.batch_speedup, 2), row.bit_exact ? "yes" : "NO"});
     }
@@ -387,7 +435,8 @@ int main(int argc, char** argv) {
                << ", \"simd_mbps\": ";
             if (r.has_group) os << r.simd_mbps;
             else os << "null";
-            os << ", \"batch_mbps\": " << r.batch_mbps << ", \"speedup\": ";
+            os << ", \"batch_mbps\": " << r.batch_mbps << ", \"single_mbps\": " << r.single_mbps
+               << ", \"speedup\": ";
             if (r.has_group) os << r.speedup;
             else os << "null";
             os << ", \"batch_speedup\": " << r.batch_speedup

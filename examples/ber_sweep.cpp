@@ -5,16 +5,14 @@
 //   ./ber_sweep [--rate=1/2] [--from=0.6] [--to=1.6] [--step=0.2]
 //               [--frames=50] [--iters=30] [--fixed] [--bits=6]
 //               [--schedule=zigzag|twophase|segmented|map|layered]
-//               [--backend=scalar|simd] [--lanes=auto|group|frame]
-//               [--csv=out.csv] [--threads=N] [--progress]
+//               [--backend=scalar|simd] [--csv=out.csv] [--threads=N]
+//               [--progress]
 //
 // --backend=simd selects the SIMD fixed-point engine (requires --fixed).
-// --lanes picks its lane mapping: "group" is the group-parallel engine
-// (lane = functional unit; twophase/segmented only), "frame" the
-// frame-per-lane batch engine (any schedule, one SIMD lane per frame),
-// "auto" (default) uses group-parallel for single frames and frame-per-lane
-// for batches. Results are bit-identical to the scalar backend either way
-// (pinned by tests/test_simd.cpp and tests/test_engine.cpp).
+// The Monte-Carlo engine decodes in batch blocks, which the SIMD engine
+// runs frame-per-lane (one SIMD lane per frame, any schedule). Results are
+// bit-identical to the scalar backend (pinned by tests/test_simd.cpp and
+// tests/test_engine.cpp).
 //
 // Runs on the frame-parallel Monte-Carlo engine with one decoder engine per
 // worker, decoding in engine-preferred batch blocks: results are
@@ -57,19 +55,12 @@ core::DecoderBackend parse_backend(const std::string& s) {
     throw std::runtime_error("unknown backend " + s + " (scalar or simd)");
 }
 
-core::SimdLaneMode parse_lanes(const std::string& s) {
-    if (s == "auto") return core::SimdLaneMode::Auto;
-    if (s == "group") return core::SimdLaneMode::GroupParallel;
-    if (s == "frame") return core::SimdLaneMode::FramePerLane;
-    throw std::runtime_error("unknown lane mode " + s + " (auto, group, or frame)");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
     const util::CliArgs args(argc, argv,
                              {"rate", "from", "to", "step", "frames", "iters", "fixed", "bits",
-                              "schedule", "backend", "lanes", "csv", "threads",
+                              "schedule", "backend", "csv", "threads",
                               "progress"});
     const auto rate = parse_rate(args.get("rate", "1/2"));
     const code::Dvbs2Code ldpc(code::standard_params(rate));
@@ -77,7 +68,6 @@ int main(int argc, char** argv) try {
     core::DecoderConfig cfg;
     cfg.schedule = parse_schedule(args.get("schedule", "zigzag"));
     cfg.backend = parse_backend(args.get("backend", "scalar"));
-    cfg.lane_mode = parse_lanes(args.get("lanes", "auto"));
     cfg.max_iterations = static_cast<int>(args.get_int("iters", 30));
 
     const bool fixed = args.has("fixed");
@@ -88,8 +78,8 @@ int main(int argc, char** argv) try {
     // One engine per worker — engines own message memories and decode
     // workspaces, and the parallel engine never shares them across threads.
     // make_engine runs the central config validation up front, so an illegal
-    // combination (e.g. --backend=simd --lanes=group --schedule=zigzag)
-    // fails here with a diagnostic naming the offending option.
+    // value (e.g. a negative --iters) fails here with a diagnostic naming
+    // the offending option.
     core::EngineSpec spec;
     spec.arith = fixed ? core::Arithmetic::Fixed : core::Arithmetic::Float;
     spec.config = cfg;
@@ -124,10 +114,8 @@ int main(int argc, char** argv) try {
     std::cout << ldpc.params().name << ", " << (fixed ? "fixed " + std::to_string(bits) + "-bit"
                                                       : std::string("float"))
               << ", " << core::to_string(cfg.schedule)
-              << ", " << core::to_string(cfg.backend) << " backend";
-    if (cfg.backend == core::DecoderBackend::Simd)
-        std::cout << " (lanes=" << core::to_string(cfg.lane_mode) << ")";
-    std::cout << ", " << cfg.max_iterations << " iterations\n";
+              << ", " << core::to_string(cfg.backend) << " backend, " << cfg.max_iterations
+              << " iterations\n";
     std::cout << "Shannon limit (BPSK-constrained): "
               << comm::shannon_limit_bpsk_db(ldpc.params().rate()) << " dB\n\n";
 

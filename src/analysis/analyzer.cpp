@@ -38,7 +38,6 @@ Report lint_configuration(const code::CodeParams& params, const code::IraTables&
         dopts.buffer_depth = opts.buffer_depth;
         dopts.schedule = opts.decoder.schedule;
         rep.merge(lint_dataflow(code, mapping, dopts));
-        rep.merge(lint_transform(opts.decoder.schedule));
     } catch (const std::exception& e) {
         // The lint rules above are meant to pre-empt every constructor
         // requirement; reaching this means a rule gap, so surface it loudly.

@@ -95,6 +95,10 @@ struct TraceDims {
     }
 };
 
+/// One-line human-readable form of an event ("def of msg-word[3] by unit 1
+/// (iter 0, phase 1)"), quoted by diagnostics that name an offending event.
+std::string describe_event(const Event& ev);
+
 /// A compiled schedule: the event sequence plus its shape metadata.
 struct Trace {
     core::Schedule schedule{};

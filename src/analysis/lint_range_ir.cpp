@@ -5,7 +5,7 @@
 #include <ostream>
 #include <string>
 
-#include "analysis/ir/transform.hpp"
+#include "analysis/ir/ir.hpp"
 #include "analysis/lint_range.hpp"
 
 namespace dvbs2::analysis {

@@ -35,15 +35,6 @@ const char* to_string(DecoderBackend b) {
     return "?";
 }
 
-const char* to_string(SimdLaneMode m) {
-    switch (m) {
-        case SimdLaneMode::Auto: return "auto";
-        case SimdLaneMode::GroupParallel: return "group-parallel";
-        case SimdLaneMode::FramePerLane: return "frame-per-lane";
-    }
-    return "?";
-}
-
 const char* to_string(Arithmetic a) {
     switch (a) {
         case Arithmetic::Float: return "float";

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "analysis/ir/analyses.hpp"
-#include "analysis/ir/transform.hpp"
 #include "code/params.hpp"
 #include "core/arith.hpp"
 #include "core/mp_decoder.hpp"
@@ -132,30 +131,12 @@ void validate_engine_spec(const EngineSpec& spec) {
     }
     if (c.backend == DecoderBackend::Simd) {
         // Legality is derived, not hardcoded: the dataflow IR classifies each
-        // schedule by tracing its def/use dependences (analysis/ir). The
-        // group-parallel mapping needs every same-phase dependence to stay
-        // inside one lane and respect the lockstep step order — either in
-        // the schedule as emitted (native legality) or under a certified
-        // dependence-preserving rewrite (analysis/ir/transform.hpp): the
-        // transformer's certificates are re-checked by replaying the
-        // permuted trace through the same analyses, so an uncertified
-        // schedule can never reach the group-parallel executor.
-        const auto& cls = analysis::ir::classify_schedule(c.schedule);
-        if (c.lane_mode != SimdLaneMode::FramePerLane) {
-            const auto& verdict = analysis::ir::transform_schedule(c.schedule);
-            DVBS2_REQUIRE(verdict.group_parallel(),
-                          std::string("backend=simd with lane_mode=") + to_string(c.lane_mode) +
-                              " (group-parallel lanes) cannot run schedule=" +
-                              to_string(c.schedule) + ": " + cls.group_parallel_obstruction +
-                              ", and no certified lockstep rewrite exists; use "
-                              "lane_mode=frame-per-lane (one lane per frame) to run this "
-                              "schedule on the SIMD backend");
-        } else {
-            DVBS2_REQUIRE(cls.frame_per_lane_legal,
-                          std::string("backend=simd with lane_mode=frame-per-lane cannot run "
-                                      "schedule=") +
-                              to_string(c.schedule) + ": the schedule shares state across frames");
-        }
+        // schedule by tracing its def/use dependences (analysis/ir). Batches
+        // always run frame-per-lane, which needs every storage space to be
+        // frame-local; single frames pick their own mapping (see SimdEngine).
+        DVBS2_REQUIRE(analysis::ir::classify_schedule(c.schedule).frame_per_lane_legal,
+                      std::string("backend=simd cannot run schedule=") + to_string(c.schedule) +
+                          ": the schedule shares state across frames");
     }
     if (spec.arith == Arithmetic::Fixed) {
         // Per-event range certification over the dataflow IR (absint.hpp):
@@ -345,20 +326,32 @@ private:
     DecodeWorkspace<double> ws_;
 };
 
+/// The scalar fixed-point datapath: MpDecoder<FixedArith> plus the
+/// correction LUT its exact rule points into. The arithmetic holds a
+/// pointer to `table`, so the pair is pinned in place (not copyable).
+struct FixedScalarDecoder {
+    FixedScalarDecoder(const code::Dvbs2Code& code, const EngineSpec& spec)
+        : table(spec.quant),
+          mp(code, spec.config,
+             FixedArith(spec.config.rule, spec.quant,
+                        spec.config.rule == CheckRule::Exact ? &table : nullptr,
+                        spec.config.normalization, spec.config.offset)) {}
+    FixedScalarDecoder(const FixedScalarDecoder&) = delete;
+    FixedScalarDecoder& operator=(const FixedScalarDecoder&) = delete;
+
+    quant::BoxplusTable table;
+    MpDecoder<FixedArith> mp;
+};
+
 class FixedScalarEngine final : public Engine {
 public:
     FixedScalarEngine(const code::Dvbs2Code& code, const EngineSpec& spec)
-        : spec_(spec),
-          table_(spec.quant),
-          mp_(code, spec.config,
-              FixedArith(spec.config.rule, spec.quant,
-                         spec.config.rule == CheckRule::Exact ? &table_ : nullptr,
-                         spec.config.normalization, spec.config.offset)) {
+        : spec_(spec), dec_(code, spec) {
         ws_.staging.resize(static_cast<std::size_t>(code.n()));
     }
 
     void set_observer(std::function<void(const IterationTrace&)> observer) override {
-        mp_.set_observer(std::move(observer));
+        dec_.mp.set_observer(std::move(observer));
     }
 
     const DecoderConfig& config() const noexcept override { return spec_.config; }
@@ -367,12 +360,12 @@ public:
     std::string backend_name() const override { return "fixed-scalar"; }
     std::size_t frame_length() const noexcept override { return ws_.staging.size(); }
 
-    void set_cn_order(std::vector<int> order) override { mp_.set_cn_order(std::move(order)); }
+    void set_cn_order(std::vector<int> order) override { dec_.mp.set_cn_order(std::move(order)); }
 
     std::vector<quant::QLLR> run_and_dump_c2v(std::span<const quant::QLLR> qllr,
                                               int iters) override {
-        mp_.run_iterations(qllr, iters);
-        return mp_.c2v_messages();
+        dec_.mp.run_iterations(qllr, iters);
+        return dec_.mp.c2v_messages();
     }
 
 protected:
@@ -383,41 +376,46 @@ protected:
                           "non-finite channel LLR at index " + std::to_string(i));
             ws_.staging[i] = quant::quantize(llr[i], spec_.quant);
         }
-        mp_.decode_into(ws_.staging, out);
+        dec_.mp.decode_into(ws_.staging, out);
     }
 
     void do_decode_raw_into(std::span<const quant::QLLR> qllr, DecodeResult& out) override {
-        mp_.decode_into(qllr, out);
+        dec_.mp.decode_into(qllr, out);
     }
 
 private:
     EngineSpec spec_;
-    quant::BoxplusTable table_;
-    MpDecoder<FixedArith> mp_;
+    FixedScalarDecoder dec_;
     DecodeWorkspace<quant::QLLR> ws_;
 };
 
-/// Fixed-point SIMD engine. Owns up to two lane mappings, selected by
-/// DecoderConfig::lane_mode: a group-parallel decoder (lane = functional
-/// unit) for single frames and a frame-per-lane decoder for batch blocks.
+/// Fixed-point SIMD engine. The lane mapping follows the call's frame
+/// count, so the same work always takes the same path:
+///  * one frame (decode_into, decode_raw_into, a one-slot decode_batch,
+///    run_and_dump_c2v, and every frame while an observer is installed)
+///    runs on the single-frame decoder — group-parallel (lane = functional
+///    unit, Eq. 2) where classify_schedule proves the schedule natively
+///    lockstep-legal, the scalar fixed-point decoder on the serial-chain
+///    schedules, whose check phase has no lane parallelism;
+///  * two or more frames run frame-per-lane (lane = frame) through
+///    decode_stream, with per-lane early termination and lane compaction.
 class SimdEngine final : public Engine {
 public:
-    SimdEngine(const code::Dvbs2Code& code, const EngineSpec& spec) : spec_(spec) {
-        const auto n = static_cast<std::size_t>(code.n());
-        if (spec.config.lane_mode != SimdLaneMode::FramePerLane)
+    SimdEngine(const code::Dvbs2Code& code, const EngineSpec& spec)
+        : spec_(spec), batch_(code, spec.config, spec.quant) {
+        if (analysis::ir::classify_schedule(spec.config.schedule).group_parallel_legal)
             group_ = std::make_unique<SimdFixedDecoder>(code, spec.config, spec.quant);
-        if (spec.config.lane_mode != SimdLaneMode::GroupParallel)
-            batch_ = std::make_unique<SimdBatchFixedDecoder>(code, spec.config, spec.quant);
-        ws_.staging.resize(n);
+        else
+            chain_ = std::make_unique<FixedScalarDecoder>(code, spec);
+        ws_.staging.resize(static_cast<std::size_t>(code.n()));
     }
 
     void set_observer(std::function<void(const IterationTrace&)> observer) override {
-        if (observer && group_ == nullptr)
-            throw std::runtime_error(
-                "lane_mode=frame-per-lane does not emit iteration traces; use "
-                "lane_mode=auto or group-parallel (or DecoderBackend::Scalar) for tracing");
         has_observer_ = static_cast<bool>(observer);
-        if (group_) group_->set_observer(std::move(observer));
+        if (group_)
+            group_->set_observer(std::move(observer));
+        else
+            chain_->mp.set_observer(std::move(observer));
     }
 
     const DecoderConfig& config() const noexcept override { return spec_.config; }
@@ -432,7 +430,7 @@ public:
         // frames to splice into retired lanes when the batch outnumbers the
         // lanes, so a deeper preferred batch is what converts per-lane early
         // termination into throughput (see decode_stream).
-        return batch_ ? 4 * SimdBatchFixedDecoder::lanes() : 1;
+        return 4 * SimdBatchFixedDecoder::lanes();
     }
 
     std::vector<quant::QLLR> run_and_dump_c2v(std::span<const quant::QLLR> qllr,
@@ -441,8 +439,8 @@ public:
             group_->run_iterations(qllr, iters);
             return group_->c2v_messages();
         }
-        batch_->run_iterations(qllr, 1, iters);
-        return batch_->c2v_messages(0);
+        chain_->mp.run_iterations(qllr, iters);
+        return chain_->mp.c2v_messages();
     }
 
 protected:
@@ -462,9 +460,10 @@ protected:
         // engine declares frame_length(), so llrs.size() == b * n here).
         const std::size_t b = out.size();
         const std::size_t n = ws_.staging.size();
-        if (!batch_ || has_observer_) {
-            // Group-parallel lane mode, or tracing: decode frame by frame so
-            // observers see one frame's iterations at a time, in order.
+        if (b == 1 || has_observer_) {
+            // One frame, or tracing: decode frame by frame on the
+            // single-frame path, so observers see one frame's iterations at
+            // a time, in order.
             for (std::size_t f = 0; f < b; ++f) do_decode_into(llrs.subspan(f * n, n), out[f]);
             return;
         }
@@ -473,7 +472,7 @@ protected:
         // the pending frames (lane compaction), so a mixed-convergence batch
         // never leaves lanes idle while frames wait.
         StreamCtx ctx{this, llrs.data(), n};
-        batch_->decode_stream(b, &SimdEngine::quantize_frame, &ctx, out.data());
+        batch_.decode_stream(b, &SimdEngine::quantize_frame, &ctx, out.data());
     }
 
 private:
@@ -499,16 +498,16 @@ private:
     }
 
     void decode_raw_single(std::span<const quant::QLLR> qllr, DecodeResult& out) {
-        if (group_) {
+        if (group_)
             group_->decode_into(qllr, out);
-            return;
-        }
-        batch_->decode_into(qllr, 1, &out);
+        else
+            chain_->mp.decode_into(qllr, out);
     }
 
     EngineSpec spec_;
-    std::unique_ptr<SimdFixedDecoder> group_;       // lane = functional unit
-    std::unique_ptr<SimdBatchFixedDecoder> batch_;  // lane = frame
+    SimdBatchFixedDecoder batch_;                  // lane = frame (two or more frames)
+    std::unique_ptr<SimdFixedDecoder> group_;      // lane = functional unit (one frame)
+    std::unique_ptr<FixedScalarDecoder> chain_;    // one frame, serial-chain schedules
     DecodeWorkspace<quant::QLLR> ws_;
     bool has_observer_ = false;
 };

@@ -4,12 +4,16 @@
 // implements. There is one decoder family — the message-passing decoder of
 // core/mp_decoder.hpp (paper Eq. 4/5) — behind three engines: the
 // floating-point reference (float-scalar), the scalar fixed-point datapath
-// model (fixed-scalar) and the SIMD backend with its group-parallel and
-// frame-per-lane lane mappings (fixed-simd). Every consumer — the
+// model (fixed-scalar) and the SIMD backend (fixed-simd). The SIMD engine
+// picks its lane mapping from each call's frame count: one frame runs on
+// the single-frame decoder (group-parallel, lane = functional unit, where
+// analysis::ir::classify_schedule proves the schedule natively lockstep-
+// legal; the scalar fixed-point decoder on the serial-chain schedules), two
+// or more frames run frame-per-lane (lane = frame). Every consumer — the
 // Monte-Carlo harness, the examples, the benches, the streaming service —
 // talks to this interface only. `make_engine` picks the engine from the
 // spec's (Arithmetic, DecoderBackend) pair; the full EngineSpec (schedule,
-// rule, quantization, lane mode) parameterizes the built instance and is
+// rule, quantization) parameterizes the built instance and is
 // validated centrally by validate_engine_spec first, so illegal
 // combinations fail in one place with a diagnostic naming the offending
 // option.
@@ -52,9 +56,9 @@ struct EngineSpec {
 
 /// Central configuration validation: throws std::runtime_error with a
 /// diagnostic naming the offending option for any illegal combination
-/// (float arithmetic with the SIMD backend, a schedule the group-parallel
-/// lane mode cannot run, an out-of-range normalization/offset/iteration
-/// count, a malformed quantizer spec). Every construction path — engines
+/// (float arithmetic with the SIMD backend, a schedule whose state is not
+/// frame-local, an out-of-range normalization/offset/iteration count, a
+/// malformed quantizer spec). Every construction path — engines
 /// from make_engine, the Decoder/FixedDecoder wrappers — routes through
 /// this, so there is exactly one place that decides legality.
 void validate_engine_spec(const EngineSpec& spec);
@@ -93,7 +97,8 @@ public:
     /// tests/test_engine.cpp and tests/test_convergence.cpp); backends
     /// amortize setup, execute frames in parallel lanes, and refill lanes
     /// from pending frames as lanes converge (lane compaction in the SIMD
-    /// engine). The base implementation loops do_decode_into.
+    /// engine; a one-slot batch takes the same single-frame path as
+    /// decode_into). The base implementation loops do_decode_into.
     void decode_batch(std::span<const double> llrs, std::span<DecodeResult> out);
 
     /// Convenience allocating wrapper over decode_into.

@@ -39,8 +39,8 @@
 namespace dvbs2::core {
 
 /// W-frame lockstep decoder; W = simd_backend_width(). Use via the unified
-/// engine layer (core/engine.hpp, DecoderBackend::Simd with batches or
-/// SimdLaneMode::FramePerLane); direct use is for tests and benches.
+/// engine layer (core/engine.hpp, DecoderBackend::Simd with batches of two
+/// or more frames); direct use is for tests and benches.
 class SimdBatchFixedDecoder {
 public:
     /// The code object must outlive the decoder. Accepts every schedule.

@@ -11,18 +11,17 @@
 // is unchanged — only independent check nodes are spread across lanes — so
 // every message is bit-exact with the scalar MpDecoder<FixedArith>.
 //
-// Supported schedules: all five. TwoPhase (all check nodes independent →
-// vector blocks of consecutive CNs) and ZigzagSegmented (lane = functional
-// unit sweeping its q-CN segment; segment-boundary values are snapshotted
-// exactly like the scalar reference's boundary_snapshot_, plus a per-block
-// up-boundary snapshot that preserves the previous-iteration read the
-// sequential sweep performs naturally) are natively lockstep-legal.
-// ZigzagForward, ZigzagMap, and Layered run in the certified transformed
-// order of analysis/ir/transform.hpp: the independent variable phase is
-// compacted into P-wide vector levels while the serially dependent check
-// chain executes on one lane in program order (the certificate's per-phase
-// widths record the honest parallelism; construction throws for any
-// schedule without a native or certified lockstep mapping).
+// Supported schedules: the two the dataflow IR proves natively lockstep-
+// legal (analysis::ir::classify_schedule) — TwoPhase (all check nodes
+// independent → vector blocks of consecutive CNs) and ZigzagSegmented (lane
+// = functional unit sweeping its q-CN segment; segment-boundary values are
+// snapshotted exactly like the scalar reference's boundary_snapshot_, plus
+// a per-block up-boundary snapshot that preserves the previous-iteration
+// read the sequential sweep performs naturally). The serial-chain schedules
+// (ZigzagForward, ZigzagMap, Layered) carry an m-long dependence chain
+// through their check phase, so construction throws for them; the SIMD
+// engine (core/engine.cpp) decodes their single frames on the scalar
+// fixed-point decoder and their batches frame-per-lane.
 //
 // This header is intrinsic-free; all target-specific code lives in
 // simd_decoder.cpp, the only TU built with SIMD compiler flags.
@@ -47,15 +46,14 @@ const char* simd_backend_name() noexcept;
 int simd_backend_width() noexcept;
 
 /// SIMD engine with the same state layout and iteration semantics as
-/// MpDecoder<FixedArith>. Use via core::FixedDecoder with
-/// DecoderConfig::backend = DecoderBackend::Simd; direct use is for the
+/// MpDecoder<FixedArith>. Use via the engine layer (core/engine.hpp,
+/// DecoderBackend::Simd, single-frame calls); direct use is for the
 /// bit-exactness tests and benches that compare message state.
 class SimdFixedDecoder {
 public:
-    /// The code object must outlive the decoder. Throws unless the schedule
-    /// is natively lockstep-legal or carries a certified rewrite
-    /// (analysis::ir::group_parallel_supported) — true for all five shipped
-    /// schedules.
+    /// The code object must outlive the decoder. Throws, naming
+    /// classify_schedule's obstruction, unless the schedule is natively
+    /// lockstep-legal (analysis::ir::ScheduleClass::group_parallel_legal).
     SimdFixedDecoder(const code::Dvbs2Code& code, const DecoderConfig& cfg,
                      const quant::QuantSpec& spec = quant::kQuant6);
     ~SimdFixedDecoder();

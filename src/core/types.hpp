@@ -47,27 +47,13 @@ enum class DecoderBackend {
     /// schedule and the float arithmetic.
     Scalar,
     /// SIMD engine (core/simd), bit-exact with Scalar and fixed-point only.
-    /// Single frames run group-parallel (one lane = one FU per Eq. 2 —
-    /// natively for TwoPhase/ZigzagSegmented, via certified schedule
-    /// rewrites for the rest; see analysis/ir/transform.hpp); batches run
-    /// frame-parallel (one lane = one frame; every schedule). See
-    /// SimdLaneMode.
+    /// The lane mapping follows the call's frame count: a single frame runs
+    /// group-parallel (one lane = one FU per Eq. 2) on the schedules the
+    /// dataflow IR proves natively lockstep-legal (TwoPhase,
+    /// ZigzagSegmented) and on the scalar fixed-point decoder otherwise;
+    /// two or more frames run frame-parallel (one lane = one frame; every
+    /// schedule). See core/engine.hpp.
     Simd,
-};
-
-/// Lane mapping of the SIMD backend (ignored by DecoderBackend::Scalar).
-enum class SimdLaneMode {
-    /// Group-parallel for single-frame decodes, frame-per-lane for batches.
-    Auto,
-    /// Lane = functional unit for every call (batches decode frame by
-    /// frame). Requires a schedule that is natively lockstep-legal or holds
-    /// a certified rewrite (all five shipped schedules qualify; see
-    /// analysis/ir/transform.hpp).
-    GroupParallel,
-    /// Lane = frame for every call (a single-frame decode occupies one lane
-    /// of a batch block). Works with every schedule regardless of lockstep
-    /// legality; full throughput needs whole batches.
-    FramePerLane,
 };
 
 /// Message-domain arithmetic of a decoder engine (see core/engine.hpp).
@@ -90,7 +76,6 @@ struct DecoderConfig {
     Schedule schedule = Schedule::ZigzagForward;
     CheckRule rule = CheckRule::Exact;
     DecoderBackend backend = DecoderBackend::Scalar;
-    SimdLaneMode lane_mode = SimdLaneMode::Auto;  ///< Simd backend only
     int max_iterations = 30;
     bool early_stop = true;        ///< stop once the syndrome is satisfied
     double normalization = 0.75;   ///< NormalizedMinSum scale factor
@@ -174,7 +159,6 @@ struct IterationTrace {
 const char* to_string(Schedule s);
 const char* to_string(CheckRule r);
 const char* to_string(DecoderBackend b);
-const char* to_string(SimdLaneMode m);
 const char* to_string(Arithmetic a);
 
 }  // namespace dvbs2::core

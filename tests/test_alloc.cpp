@@ -4,7 +4,8 @@
 // malloc/posix_memalign; each test warms an engine up (first calls size the
 // workspace and the caller's DecodeResult), then asserts that steady-state
 // decode_into / decode_batch calls perform exactly ZERO heap allocations —
-// for the float-scalar, fixed-scalar and both SIMD engine kinds.
+// for the float-scalar and fixed-scalar engines and both lane mappings of
+// the SIMD engine.
 //
 // The aligned variants matter: the frame-per-lane batch engine stores
 // vector<VecVal> with __m256i members, so its (warmup-time) allocations go
@@ -23,6 +24,7 @@
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
 #include "core/engine.hpp"
+#include "core/simd/batch_decoder.hpp"
 #include "enc/encoder.hpp"
 #include "quant/fixed.hpp"
 
@@ -137,13 +139,12 @@ std::uint64_t allocations_during(Fn&& fn) {
     return g_allocs.load(std::memory_order_relaxed);
 }
 
-dd::EngineSpec make_spec(dd::Arithmetic arith, dd::DecoderBackend backend, dd::Schedule schedule,
-                         dd::SimdLaneMode lanes = dd::SimdLaneMode::Auto) {
+dd::EngineSpec make_spec(dd::Arithmetic arith, dd::DecoderBackend backend,
+                         dd::Schedule schedule) {
     dd::EngineSpec spec;
     spec.arith = arith;
     spec.config.backend = backend;
     spec.config.schedule = schedule;
-    spec.config.lane_mode = lanes;
     spec.config.max_iterations = 10;
     spec.quant = dq::kQuant6;
     return spec;
@@ -205,18 +206,63 @@ TEST(AllocFree, SimdGroupDecodeInto) {
                              "fixed-simd group-parallel");
 }
 
+TEST(AllocFree, SimdOneFrameSerialSchedule) {
+    // The SIMD engine's one-frame path on a serial-chain schedule (the
+    // scalar fixed-point decoder), through decode_into and through a
+    // one-slot decode_batch — the call the decode service makes.
+    const auto spec = make_spec(dd::Arithmetic::Fixed, dd::DecoderBackend::Simd,
+                                dd::Schedule::ZigzagForward);
+    expect_zero_alloc_single(spec, "fixed-simd one frame, zigzag-forward");
+
+    const auto& code = toy_code();
+    const auto eng = dd::make_engine(code, spec);
+    const auto a = noisy_llrs(code, 1.0, 3);
+    const auto b = noisy_llrs(code, 2.0, 4);
+    std::vector<dd::DecodeResult> out(1);
+    eng->decode_batch(a, out);  // warmup: sizes workspace + result storage
+    eng->decode_batch(b, out);
+    const auto count = allocations_during([&] {
+        for (int rep = 0; rep < 3; ++rep) {
+            eng->decode_batch(a, out);
+            eng->decode_batch(b, out);
+        }
+    });
+    EXPECT_EQ(count, 0u) << "steady-state one-frame decode_batch allocated ("
+                         << eng->backend_name() << ")";
+}
+
 TEST(AllocFree, SimdFramePerLaneDecodeInto) {
-    expect_zero_alloc_single(make_spec(dd::Arithmetic::Fixed, dd::DecoderBackend::Simd,
-                                       dd::Schedule::ZigzagForward,
-                                       dd::SimdLaneMode::FramePerLane),
-                             "fixed-simd frame-per-lane");
+    // One frame in one lane of a frame-per-lane block: the path a lane-
+    // compaction tail runs. The engine routes lone frames to its one-frame
+    // path, so this drives the frame-per-lane decoder directly.
+    const auto& code = toy_code();
+    const auto spec = make_spec(dd::Arithmetic::Fixed, dd::DecoderBackend::Simd,
+                                dd::Schedule::ZigzagForward);
+    dd::SimdBatchFixedDecoder lanes(code, spec.config, spec.quant);
+    const auto quantized = [](const std::vector<double>& llr) {
+        std::vector<dq::QLLR> q(llr.size());
+        for (std::size_t i = 0; i < llr.size(); ++i) q[i] = dq::quantize(llr[i], dq::kQuant6);
+        return q;
+    };
+    const auto a = quantized(noisy_llrs(code, 1.0, 3));
+    const auto b = quantized(noisy_llrs(code, 2.0, 4));
+    dd::DecodeResult out;
+    lanes.decode_into(a, 1, &out);  // warmup: sizes block state + result storage
+    lanes.decode_into(b, 1, &out);
+    const auto count = allocations_during([&] {
+        for (int rep = 0; rep < 3; ++rep) {
+            lanes.decode_into(a, 1, &out);
+            lanes.decode_into(b, 1, &out);
+        }
+    });
+    EXPECT_EQ(count, 0u) << "steady-state one-lane frame-per-lane decode allocated";
 }
 
 TEST(AllocFree, SimdDecodeBatch) {
     const auto& code = toy_code();
     const auto eng = dd::make_engine(
         code, make_spec(dd::Arithmetic::Fixed, dd::DecoderBackend::Simd,
-                        dd::Schedule::ZigzagForward, dd::SimdLaneMode::FramePerLane));
+                        dd::Schedule::ZigzagForward));
     const int batch = eng->preferred_batch();
     ASSERT_GE(batch, 1);
     std::vector<double> flat;
@@ -241,8 +287,7 @@ TEST(AllocFree, LaneCompactionRefillsAreAllocFree) {
     // entirely on the pre-sized workspace: zero steady-state allocations,
     // including the per-frame convergence-telemetry recording.
     const auto& code = toy_code();
-    auto spec = make_spec(dd::Arithmetic::Fixed, dd::DecoderBackend::Simd, dd::Schedule::Layered,
-                          dd::SimdLaneMode::FramePerLane);
+    auto spec = make_spec(dd::Arithmetic::Fixed, dd::DecoderBackend::Simd, dd::Schedule::Layered);
     spec.config.max_iterations = 4;  // hopeless frames retire at the budget
     const auto eng = dd::make_engine(code, spec);
     const int batch = eng->preferred_batch();

@@ -77,14 +77,12 @@ std::vector<double> mixed_block(const dc::Dvbs2Code& code, std::size_t frames, d
     return block;
 }
 
-dd::EngineSpec spec_of(dd::DecoderBackend backend, dd::Schedule schedule,
-                       dd::SimdLaneMode lanes = dd::SimdLaneMode::Auto, int iters = 8,
+dd::EngineSpec spec_of(dd::DecoderBackend backend, dd::Schedule schedule, int iters = 8,
                        bool early_stop = true) {
     dd::EngineSpec spec;
     spec.arith = dd::Arithmetic::Fixed;
     spec.config.backend = backend;
     spec.config.schedule = schedule;
-    spec.config.lane_mode = lanes;
     spec.config.max_iterations = iters;
     spec.config.early_stop = early_stop;
     spec.quant = dq::kQuant6;
@@ -209,8 +207,7 @@ TEST_P(ConvergenceAllRates, EarlyTerminationBitIdenticalToScalar) {
     const std::size_t n = block.size() / frames;
 
     for (const dd::Schedule schedule : kAllSchedules) {
-        const auto spec =
-            spec_of(dd::DecoderBackend::Simd, schedule, dd::SimdLaneMode::FramePerLane);
+        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule);
         const auto ref = scalar_reference(code, spec, block, frames);
 
         const auto batch_eng = dd::make_engine(code, spec);
@@ -231,8 +228,7 @@ TEST_P(ConvergenceAllRates, EarlyTerminationBitIdenticalToScalar) {
     }
 
     for (const dd::Schedule schedule : kGroupSchedules) {
-        const auto spec =
-            spec_of(dd::DecoderBackend::Simd, schedule, dd::SimdLaneMode::GroupParallel);
+        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule);
         const auto ref = scalar_reference(code, spec, block, frames);
         const auto eng = dd::make_engine(code, spec);
         dd::DecodeResult got;
@@ -282,10 +278,11 @@ std::vector<double> hopeless_llrs(const dc::Dvbs2Code& code, std::uint64_t seed)
 }  // namespace
 
 TEST(LaneCompaction, BatchSmallerThanPreferredBatch) {
+    // Three frames are fewer than one lane block, yet still two or more, so
+    // the engine runs them frame-per-lane in a partially occupied block.
     const auto& code = toy_code();
     for (const dd::Schedule schedule : kAllSchedules) {
-        const auto spec =
-            spec_of(dd::DecoderBackend::Simd, schedule, dd::SimdLaneMode::FramePerLane);
+        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule);
         const auto eng = dd::make_engine(code, spec);
         const std::size_t frames = 3;
         ASSERT_LT(static_cast<int>(frames), eng->preferred_batch());
@@ -308,8 +305,7 @@ TEST(LaneCompaction, AllLanesConvergeAtIterationOne) {
         block.insert(block.end(), llr.begin(), llr.end());
     }
     for (const dd::Schedule schedule : kAllSchedules) {
-        const auto spec =
-            spec_of(dd::DecoderBackend::Simd, schedule, dd::SimdLaneMode::FramePerLane);
+        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule);
         const auto eng = dd::make_engine(code, spec);
         std::vector<dd::DecodeResult> got(frames);
         eng->decode_batch(block, got);
@@ -332,8 +328,7 @@ TEST(LaneCompaction, NoLaneConvergesBudgetExhaustion) {
         block.insert(block.end(), llr.begin(), llr.end());
     }
     for (const dd::Schedule schedule : kAllSchedules) {
-        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule,
-                                  dd::SimdLaneMode::FramePerLane, /*iters=*/2);
+        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule, /*iters=*/2);
         const auto eng = dd::make_engine(code, spec);
         std::vector<dd::DecodeResult> got(frames);
         eng->decode_batch(block, got);
@@ -357,7 +352,7 @@ TEST(LaneCompaction, MixedBatch1000FramesInInputOrder) {
     // point is volume: ~1000 retire/refill events per lane mapping, every
     // result landing in its input-order slot.
     const auto spec =
-        spec_of(dd::DecoderBackend::Simd, dd::Schedule::Layered, dd::SimdLaneMode::FramePerLane);
+        spec_of(dd::DecoderBackend::Simd, dd::Schedule::Layered);
     const auto ref = scalar_reference(code, spec, block, frames);
     const auto eng = dd::make_engine(code, spec);
     std::vector<dd::DecodeResult> got(frames);
@@ -394,8 +389,7 @@ TEST(LaneCompaction, AdversarialRetirementOrder) {
     }
     const std::size_t frames = 2 * lanes + 1;
     for (const dd::Schedule schedule : kAllSchedules) {
-        const auto spec =
-            spec_of(dd::DecoderBackend::Simd, schedule, dd::SimdLaneMode::FramePerLane);
+        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule);
         const auto ref = scalar_reference(code, spec, block, frames);
         const auto eng = dd::make_engine(code, spec);
         std::vector<dd::DecodeResult> got(frames);
@@ -411,8 +405,7 @@ TEST(LaneCompaction, ZeroIterationBudgetHardensFromChannel) {
     const auto frames = static_cast<std::size_t>(dd::SimdBatchFixedDecoder::lanes() + 1);
     const auto block = mixed_block(code, frames, 1.0, 5.0, 60);
     for (const dd::Schedule schedule : kAllSchedules) {
-        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule,
-                                  dd::SimdLaneMode::FramePerLane, /*iters=*/0);
+        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule, /*iters=*/0);
         const auto ref = scalar_reference(code, spec, block, frames);
         const auto eng = dd::make_engine(code, spec);
         std::vector<dd::DecodeResult> got(frames);
@@ -431,8 +424,7 @@ TEST(LaneCompaction, EarlyStopOffStillMatchesScalar) {
     const auto frames = static_cast<std::size_t>(dd::SimdBatchFixedDecoder::lanes() + 2);
     const auto block = mixed_block(code, frames, 1.0, 5.0, 70);
     for (const dd::Schedule schedule : kAllSchedules) {
-        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule,
-                                  dd::SimdLaneMode::FramePerLane, /*iters=*/6,
+        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule, /*iters=*/6,
                                   /*early_stop=*/false);
         const auto ref = scalar_reference(code, spec, block, frames);
         const auto eng = dd::make_engine(code, spec);
@@ -448,15 +440,19 @@ TEST(LaneCompaction, EarlyStopOffStillMatchesScalar) {
 }
 
 TEST(LaneCompaction, SingleFrameStreamMatchesScalar) {
+    // A one-frame stream occupies one lane of a block — the state a lane-
+    // compaction tail ends in. The engine sends lone frames down its
+    // one-frame path, so this drives the frame-per-lane decoder directly.
     const auto& code = toy_code();
     const auto llr = noisy_llrs(code, 2.0, 81);
+    std::vector<dq::QLLR> q(llr.size());
+    for (std::size_t i = 0; i < llr.size(); ++i) q[i] = dq::quantize(llr[i], dq::kQuant6);
     for (const dd::Schedule schedule : kAllSchedules) {
-        const auto spec =
-            spec_of(dd::DecoderBackend::Simd, schedule, dd::SimdLaneMode::FramePerLane);
+        const auto spec = spec_of(dd::DecoderBackend::Simd, schedule);
         const auto ref = scalar_reference(code, spec, llr, 1);
-        const auto eng = dd::make_engine(code, spec);
+        dd::SimdBatchFixedDecoder lanes(code, spec.config, spec.quant);
         dd::DecodeResult got;
-        eng->decode_into(llr, got);
+        lanes.decode_into(q, 1, &got);
         expect_same_result(ref[0], got, name_of(schedule) + " single frame");
     }
 }
@@ -466,7 +462,7 @@ TEST(LaneCompaction, SingleFrameStreamMatchesScalar) {
 TEST(EngineConvergence, EveryDecodeEntryPointRecords) {
     const auto& code = toy_code();
     const auto spec =
-        spec_of(dd::DecoderBackend::Simd, dd::Schedule::TwoPhase, dd::SimdLaneMode::Auto);
+        spec_of(dd::DecoderBackend::Simd, dd::Schedule::TwoPhase);
     const auto eng = dd::make_engine(code, spec);
     EXPECT_EQ(eng->convergence().frames, 0u);
 
@@ -552,7 +548,7 @@ TEST(EngineConvergence, FloatEngineRecordsToo) {
 TEST(EngineConvergence, HistogramPresizedToBudget) {
     const auto& code = toy_code();
     const auto eng = dd::make_engine(
-        code, spec_of(dd::DecoderBackend::Scalar, dd::Schedule::TwoPhase, dd::SimdLaneMode::Auto,
+        code, spec_of(dd::DecoderBackend::Scalar, dd::Schedule::TwoPhase,
                       /*iters=*/13));
     dd::DecodeResult r;
     eng->decode_into(noisy_llrs(code, 4.0, 17), r);
@@ -572,7 +568,7 @@ TEST(MonteCarloConvergence, HistogramConsistentWithPointCounts) {
     cfg.limits.target_bit_errors = 1;
     cfg.limits.target_frame_errors = 1;
     const auto spec =
-        spec_of(dd::DecoderBackend::Simd, dd::Schedule::Layered, dd::SimdLaneMode::FramePerLane,
+        spec_of(dd::DecoderBackend::Simd, dd::Schedule::Layered,
                 /*iters=*/12);
     const auto pt = dm::simulate_point_engine(code, spec, 2.0, cfg);
     EXPECT_EQ(pt.convergence.frames, pt.frames);
@@ -589,7 +585,7 @@ TEST(MonteCarloConvergence, HistogramConsistentWithPointCounts) {
 TEST(MonteCarloConvergence, HistogramThreadCountInvariant) {
     const auto& code = toy_code();
     const auto spec =
-        spec_of(dd::DecoderBackend::Simd, dd::Schedule::ZigzagMap, dd::SimdLaneMode::FramePerLane,
+        spec_of(dd::DecoderBackend::Simd, dd::Schedule::ZigzagMap,
                 /*iters=*/10);
     dm::SimConfig cfg;
     cfg.seed = 99;
@@ -612,8 +608,7 @@ TEST(MonteCarloConvergence, HistogramThreadCountInvariant) {
 
 TEST(MonteCarloConvergence, EngineAndDecodeFnPathsAgree) {
     const auto& code = toy_code();
-    const auto spec = spec_of(dd::DecoderBackend::Scalar, dd::Schedule::TwoPhase,
-                              dd::SimdLaneMode::Auto, /*iters=*/10);
+    const auto spec = spec_of(dd::DecoderBackend::Scalar, dd::Schedule::TwoPhase, /*iters=*/10);
     dm::SimConfig cfg;
     cfg.seed = 5;
     cfg.threads = 1;
@@ -656,8 +651,7 @@ TEST(MonteCarloConvergence, GoldenIterationHistogramsArePinned) {
     };
     for (const auto& pin : pins) {
         const dc::Dvbs2Code code(dc::standard_params(pin.rate, dc::FrameSize::Short));
-        const auto spec = spec_of(dd::DecoderBackend::Simd, dd::Schedule::TwoPhase,
-                                  dd::SimdLaneMode::FramePerLane, /*iters=*/30);
+        const auto spec = spec_of(dd::DecoderBackend::Simd, dd::Schedule::TwoPhase, /*iters=*/30);
         dm::SimConfig cfg;
         cfg.seed = 424242;
         cfg.threads = 1;

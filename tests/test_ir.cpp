@@ -1,21 +1,24 @@
-// Tests of the schedule dataflow IR (src/analysis/ir): trace compilation,
-// the derived SIMD-legality classification (pinned to the set the engine
-// registry previously hardcoded), exact liveness word counts including the
-// paper's Sec. 4 parity-storage halving, slot-stream def/use rules, and the
-// port-drain analysis pinned bit-equal to the dynamic conflict simulator
-// across rates and mappings.
+// Tests of the schedule dataflow IR (src/analysis/ir): trace compilation
+// and its golden digests, the derived SIMD-legality classification (pinned
+// to the set the engine registry previously hardcoded), exact liveness word
+// counts including the paper's Sec. 4 parity-storage halving, slot-stream
+// def/use rules, and the port-drain analysis pinned bit-equal to the
+// dynamic conflict simulator across rates and mappings.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/ir/analyses.hpp"
-#include "analysis/ir/transform.hpp"
 #include "analysis/lint_memory.hpp"
 #include "analysis/lint_schedule.hpp"
 #include "arch/anneal.hpp"
 #include "arch/conflict.hpp"
+#include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "core/engine.hpp"
+#include "core/simd/simd_decoder.hpp"
 
 namespace ir = dvbs2::analysis::ir;
 namespace da = dvbs2::analysis;
@@ -38,6 +41,57 @@ const ir::PhaseParallelism* phase_named(const ir::ParallelismReport& rep,
 constexpr co::Schedule kAllSchedules[] = {
     co::Schedule::TwoPhase, co::Schedule::ZigzagForward, co::Schedule::ZigzagSegmented,
     co::Schedule::ZigzagMap, co::Schedule::Layered};
+
+// ---- FNV-1a 64 over the full trace content (shape + every event field) ----
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+void fnv_u64(std::uint64_t& h, std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= kFnvPrime;
+    }
+}
+
+std::uint64_t trace_digest(const ir::Trace& tr) {
+    std::uint64_t h = kFnvOffset;
+    for (const std::string& name : tr.phase_names)
+        for (char c : name) fnv_u64(h, static_cast<unsigned char>(c));
+    for (std::int32_t sz : tr.space_size) fnv_u64(h, static_cast<std::uint64_t>(sz));
+    for (const ir::Event& ev : tr.events) {
+        fnv_u64(h, static_cast<std::uint64_t>(ev.access));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.space));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.index));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.iter));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.phase));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.unit));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.lane));
+        fnv_u64(h, static_cast<std::uint64_t>(ev.step));
+    }
+    return h;
+}
+
+struct TracePin {
+    co::Schedule schedule;
+    std::uint64_t digest;
+};
+
+constexpr TracePin kTracePins[] = {
+#include "golden_trace_pins.inc"
+};
+
+/// C++ enumerator name, so a failed pin prints a paste-ready .inc row.
+const char* schedule_enum_name(co::Schedule s) {
+    switch (s) {
+        case co::Schedule::TwoPhase: return "TwoPhase";
+        case co::Schedule::ZigzagForward: return "ZigzagForward";
+        case co::Schedule::ZigzagSegmented: return "ZigzagSegmented";
+        case co::Schedule::ZigzagMap: return "ZigzagMap";
+        case co::Schedule::Layered: return "Layered";
+    }
+    return "?";
+}
 
 }  // namespace
 
@@ -64,6 +118,19 @@ TEST(IrTrace, EverySpaceIndexStaysInsideItsDeclaredSize) {
     }
 }
 
+TEST(IrGoldenTrace, CanonicalTraceDigestsArePinned) {
+    // Classification, the dataflow lint and the range certifier all consume
+    // these traces; a builder change that reorders or reshapes events must
+    // show up here, not as a silently shifted downstream verdict.
+    for (const TracePin& pin : kTracePins) {
+        const ir::Trace tr = ir::build_schedule_trace(pin.schedule, ir::TraceDims{});
+        const std::uint64_t got = trace_digest(tr);
+        EXPECT_EQ(got, pin.digest)
+            << "actual pin: {co::Schedule::" << schedule_enum_name(pin.schedule) << ", 0x"
+            << std::hex << got << "ULL},";
+    }
+}
+
 // -------------------------------------------- derived lockstep legality --
 
 TEST(IrClassify, LegalSetMatchesThePreviouslyHardcodedEngineSet) {
@@ -74,28 +141,39 @@ TEST(IrClassify, LegalSetMatchesThePreviouslyHardcodedEngineSet) {
         const bool expect_legal =
             s == co::Schedule::TwoPhase || s == co::Schedule::ZigzagSegmented;
         EXPECT_EQ(cls.group_parallel_legal, expect_legal) << co::to_string(s);
-        if (!expect_legal)
+        if (!expect_legal) {
             EXPECT_FALSE(cls.group_parallel_obstruction.empty()) << co::to_string(s);
+        }
         // Every schedule keeps all state frame-local.
         EXPECT_TRUE(cls.frame_per_lane_legal) << co::to_string(s);
     }
 }
 
 TEST(IrClassify, EngineRegistryConsultsTheDerivedClassification) {
-    // Since the certified schedule transformer, every schedule is admitted
-    // for the group-parallel mapping: natively legal ones via
-    // classify_schedule, the rest via a transform_schedule certificate.
+    // Every schedule is frame-local, so the SIMD engine accepts all five
+    // (batches run frame-per-lane). Its group-parallel decoder accepts
+    // exactly the natively lockstep-legal ones and rejects the rest naming
+    // classify_schedule's obstruction.
+    const dc::Dvbs2Code code(dc::toy_params(12, 7, 2, 6, 3));
     for (co::Schedule s : kAllSchedules) {
+        const ir::ScheduleClass& cls = ir::classify_schedule(s);
         co::EngineSpec spec;
         spec.config.backend = co::DecoderBackend::Simd;
         spec.config.schedule = s;
-        spec.config.lane_mode = co::SimdLaneMode::GroupParallel;
-        ASSERT_TRUE(ir::classify_schedule(s).group_parallel_legal ||
-                    ir::transform_schedule(s).certified)
-            << co::to_string(s);
+        ASSERT_TRUE(cls.frame_per_lane_legal) << co::to_string(s);
         EXPECT_NO_THROW(co::validate_engine_spec(spec)) << co::to_string(s);
-        spec.config.lane_mode = co::SimdLaneMode::FramePerLane;
-        EXPECT_NO_THROW(co::validate_engine_spec(spec)) << co::to_string(s);
+        if (cls.group_parallel_legal) {
+            EXPECT_NO_THROW(co::SimdFixedDecoder(code, spec.config)) << co::to_string(s);
+            continue;
+        }
+        try {
+            co::SimdFixedDecoder dec(code, spec.config);
+            ADD_FAILURE() << co::to_string(s) << ": group-parallel decoder built";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(cls.group_parallel_obstruction),
+                      std::string::npos)
+                << co::to_string(s) << ": " << e.what();
+        }
     }
 }
 

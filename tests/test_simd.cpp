@@ -1,16 +1,20 @@
 // SIMD backend bit-exactness suite: pins SimdFixedDecoder to the scalar
-// MpDecoder<FixedArith> reference, message for message. Any lane-arith,
-// gather, or lockstep-hazard regression (see the snapshot discussion in
+// MpDecoder<FixedArith> reference, message for message, on the two
+// natively lockstep-legal schedules it runs. Any lane-arith, gather, or
+// lockstep-hazard regression (see the snapshot discussion in
 // src/core/simd/simd_decoder.cpp) shows up here as a first-divergence index.
+// The engine-level tests at the bottom cover all five schedules.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <stdexcept>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "analysis/ir/analyses.hpp"
 #include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "comm/ber.hpp"
@@ -30,13 +34,13 @@ using dvbs2::util::BitVec;
 
 namespace {
 
-/// Every schedule now has a group-parallel backend: TwoPhase and
-/// ZigzagSegmented natively, the serial-chain schedules via the certified
-/// transform (src/analysis/ir/transform.hpp) executed as a vectorized
-/// variable phase plus a scalar chain sweep.
 constexpr dd::Schedule kAllSchedules[] = {dd::Schedule::TwoPhase, dd::Schedule::ZigzagForward,
                                           dd::Schedule::ZigzagSegmented, dd::Schedule::ZigzagMap,
                                           dd::Schedule::Layered};
+
+/// The schedules SimdFixedDecoder runs: the natively lockstep-legal ones.
+constexpr dd::Schedule kGroupSchedules[] = {dd::Schedule::TwoPhase,
+                                            dd::Schedule::ZigzagSegmented};
 
 const dc::Dvbs2Code& toy_code() {
     // p = 12 gives one full AVX2 block of 8 lanes plus a 4-lane scalar tail
@@ -146,7 +150,7 @@ class SimdRateBitExactTest : public ::testing::TestWithParam<dc::CodeRate> {};
 
 TEST_P(SimdRateBitExactTest, MessagesMatchScalarAfter1And10Iterations) {
     const dc::Dvbs2Code code(dc::standard_params(GetParam()));
-    for (const dd::Schedule schedule : kAllSchedules) {
+    for (const dd::Schedule schedule : kGroupSchedules) {
         for (const dq::QuantSpec& spec : {dq::kQuant6, dq::kQuant5}) {
             dd::DecoderConfig cfg;
             cfg.schedule = schedule;
@@ -180,7 +184,7 @@ class SimdRuleBitExactTest : public ::testing::TestWithParam<dd::CheckRule> {};
 
 TEST_P(SimdRuleBitExactTest, MessagesMatchScalarOnFullSizeCode) {
     const dc::Dvbs2Code code(dc::standard_params(dc::CodeRate::R1_2));
-    for (const dd::Schedule schedule : kAllSchedules) {
+    for (const dd::Schedule schedule : kGroupSchedules) {
         dd::DecoderConfig cfg;
         cfg.schedule = schedule;
         cfg.rule = GetParam();
@@ -246,7 +250,7 @@ TEST_P(SimdDecodeEquivalenceTest, DecodeResultsAndTracesMatchScalar) {
 
 INSTANTIATE_TEST_SUITE_P(
     SchedulesAndEarlyStop, SimdDecodeEquivalenceTest,
-    ::testing::Combine(::testing::ValuesIn(kAllSchedules), ::testing::Bool()),
+    ::testing::Combine(::testing::ValuesIn(kGroupSchedules), ::testing::Bool()),
     [](const ::testing::TestParamInfo<std::tuple<dd::Schedule, bool>>& info) {
         return sanitize(std::string(dd::to_string(std::get<0>(info.param))) +
                         (std::get<1>(info.param) ? "EarlyStop" : "FixedIters"));
@@ -287,11 +291,28 @@ TEST(SimdDispatch, UnsupportedConfigurationsThrow) {
     cfg.schedule = dd::Schedule::TwoPhase;
     EXPECT_THROW(dd::Decoder(toy_code(), cfg), std::runtime_error);
 
-    // Every schedule has a group-parallel mapping now — natively or via a
-    // certified transform — so all five construct.
+    // The SIMD engine runs every schedule (batches frame-per-lane, single
+    // frames on the scalar decoder where group-parallel is illegal) ...
     for (const dd::Schedule s : kAllSchedules) {
         cfg.schedule = s;
         EXPECT_NO_THROW(dd::FixedDecoder(toy_code(), cfg, dq::kQuant6)) << dd::to_string(s);
+    }
+    // ... but the group-parallel decoder itself refuses the serial-chain
+    // schedules, naming the obstruction classify_schedule derived.
+    for (const dd::Schedule s :
+         {dd::Schedule::ZigzagForward, dd::Schedule::ZigzagMap, dd::Schedule::Layered}) {
+        cfg.schedule = s;
+        const std::string& obstruction =
+            dvbs2::analysis::ir::classify_schedule(s).group_parallel_obstruction;
+        ASSERT_FALSE(obstruction.empty()) << dd::to_string(s);
+        try {
+            dd::SimdFixedDecoder dec(toy_code(), cfg, dq::kQuant6);
+            ADD_FAILURE() << dd::to_string(s) << ": SimdFixedDecoder built";
+        } catch (const std::runtime_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(dd::to_string(s)), std::string::npos) << what;
+            EXPECT_NE(what.find(obstruction), std::string::npos) << what;
+        }
     }
 
     // Per-CN input orders are a scalar-engine feature.
