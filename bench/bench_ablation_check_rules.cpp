@@ -12,7 +12,7 @@
 #include "bench_common.hpp"
 #include "code/tanner.hpp"
 #include "comm/ber.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 
 using namespace dvbs2;
 
@@ -40,12 +40,9 @@ int main(int argc, char** argv) {
         core::DecoderConfig cfg;
         cfg.rule = rule;
         cfg.max_iterations = 30;
-        core::FixedDecoder dec(c, cfg, quant::kQuant6);
-        comm::DecodeFn fn = [&](const std::vector<double>& llr) {
-            const auto r = dec.decode(llr);
-            return comm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        };
-        const auto pt = comm::simulate_point(c, fn, ebn0, sim);
+        const comm::EngineFactory factory =
+            comm::engine_factory(c, {core::Arithmetic::Fixed, cfg, quant::kQuant6});
+        const auto pt = comm::simulate_point(c, factory, ebn0, sim);
         if (rule == core::CheckRule::Exact) fer_exact = pt.fer();
         if (rule == core::CheckRule::MinSum) fer_minsum = pt.fer();
         t.add_row({core::to_string(rule), util::TextTable::num(pt.fer(), 2),

@@ -18,7 +18,7 @@
 #include "code/tables.hpp"
 #include "code/tanner.hpp"
 #include "comm/ber.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 
 using namespace dvbs2;
 
@@ -50,12 +50,8 @@ int main(int argc, char** argv) {
         if (!constrained) cycles_plain_toy = cycles;
         core::DecoderConfig cfg;
         cfg.max_iterations = 30;
-        core::Decoder dec(c, cfg);
-        comm::DecodeFn fn = [&](const std::vector<double>& llr) {
-            const auto r = dec.decode(llr);
-            return comm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        };
-        const auto pt = comm::simulate_point(c, fn, ebn0, sim);
+        const auto pt = comm::simulate_point(
+            c, comm::engine_factory(c, {core::Arithmetic::Float, cfg}), ebn0, sim);
         const double ber = pt.ber(static_cast<std::uint64_t>(c.k()));
         (constrained ? ber_girth : ber_plain) = ber;
         t.add_row({constrained ? "girth-6 (library)" : "unconstrained",

@@ -18,7 +18,7 @@
 #include "code/tanner.hpp"
 #include "comm/ber.hpp"
 #include "comm/density_evolution.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 
 using namespace dvbs2;
 
@@ -52,12 +52,9 @@ int main(int argc, char** argv) {
         const code::Dvbs2Code c(params);
         core::DecoderConfig cfg;
         cfg.max_iterations = 30;
-        core::FixedDecoder dec(c, cfg, quant::kQuant6);
-        comm::DecodeFn fn = [&](const std::vector<double>& llr) {
-            const auto r = dec.decode(llr);
-            return comm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        };
-        const auto pt = comm::simulate_point(c, fn, ebn0, sim);
+        const comm::EngineFactory factory =
+            comm::engine_factory(c, {core::Arithmetic::Fixed, cfg, quant::kQuant6});
+        const auto pt = comm::simulate_point(c, factory, ebn0, sim);
         (irr ? fer_irregular : fer_regular) = pt.fer();
         t.add_row({irr ? "irregular (standard, Table 1)" : "regular (all-degree-3)",
                    irr ? "8 / 3" : "3", util::TextTable::num(de, 2),

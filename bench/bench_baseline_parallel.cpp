@@ -12,26 +12,27 @@
 // Table-3 total of 22.74 mm².
 //
 // A second section measures the *software* parallel baseline: the
-// frame-parallel Monte-Carlo engine (comm/parallel.hpp) on a short-frame
+// frame-parallel Monte-Carlo harness (comm/ber.hpp) on a short-frame
 // config at 1 vs N worker threads, checking that the tallies are
-// bit-identical and reporting the wall-clock speedup.
+// bit-identical and reporting the wall-clock speedup. Each worker decodes
+// through its own float engine's Engine::decode_batch.
 //
 //   ./bench_baseline_parallel [--threads=N] [--mc-frames=32] [--mc-iters=10]
 #include <chrono>
 #include <iostream>
-#include <memory>
 
 #include "arch/area.hpp"
 #include "arch/baselines.hpp"
 #include "bench_common.hpp"
-#include "comm/parallel.hpp"
-#include "core/decoder.hpp"
+#include "comm/ber.hpp"
+#include "core/engine.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace dvbs2;
 
 namespace {
 
-/// Times one simulate_point_parallel run at `threads` workers.
+/// Times one simulate_point run at `threads` workers.
 struct McRun {
     comm::BerPoint pt;
     double wall_s = 0.0;
@@ -41,30 +42,10 @@ McRun run_mc(const code::Dvbs2Code& c, const core::DecoderConfig& dcfg, const co
              unsigned threads, double ebn0_db) {
     comm::SimConfig cfg = sim;
     cfg.threads = threads;
-    comm::DecodeFactory factory = [&](unsigned) {
-        auto dec = std::make_shared<core::Decoder>(c, dcfg);
-        return [dec](const std::vector<double>& llr) {
-            const auto r = dec->decode(llr);
-            return comm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        };
-    };
     McRun run;
     const auto t0 = std::chrono::steady_clock::now();
-    run.pt = comm::simulate_point_parallel(c, factory, ebn0_db, cfg);
-    run.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return run;
-}
-
-/// Same point through the engine-spec entry path (per-worker engines from
-/// the registry, batch-sized decode calls); tallies must match run_mc's.
-McRun run_mc_engine(const code::Dvbs2Code& c, const core::DecoderConfig& dcfg,
-                    const comm::SimConfig& sim, unsigned threads, double ebn0_db) {
-    comm::SimConfig cfg = sim;
-    cfg.threads = threads;
-    const core::EngineSpec spec{core::Arithmetic::Float, dcfg, quant::kQuant6};
-    McRun run;
-    const auto t0 = std::chrono::steady_clock::now();
-    run.pt = comm::simulate_point_engine(c, spec, ebn0_db, cfg);
+    run.pt = comm::simulate_point(c, comm::engine_factory(c, {core::Arithmetic::Float, dcfg}),
+                                  ebn0_db, cfg);
     run.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     return run;
 }
@@ -156,19 +137,9 @@ int main(int argc, char** argv) {
                     util::TextTable::num(serial.wall_s / r.wall_s, 2),
                     same ? "identical" : "MISMATCH"});
     }
-    // Engine-spec path (per-worker registry engines, batched decode calls)
-    // must reproduce the DecodeFn path's tallies exactly.
-    const McRun eng = run_mc_engine(short_code, dcfg, sim, mc_threads, ebn0);
-    const bool engine_same = same_tallies(eng.pt, serial.pt);
-    identical = identical && engine_same;
-    mc.add_row({"engine x" + std::to_string(mc_threads), util::TextTable::num(eng.wall_s, 2),
-                util::TextTable::num(static_cast<double>(eng.pt.frames) / eng.wall_s, 1),
-                util::TextTable::num(serial.wall_s / eng.wall_s, 2),
-                engine_same ? "identical" : "MISMATCH"});
     mc.print(std::cout);
     std::cout << "(counts are bit-identical by construction: per-frame counter-based RNG\n"
-              << "streams + batch-prefix early stop; the engine row decodes through\n"
-              << "Engine::decode_batch and must reproduce the DecodeFn tallies exactly)\n";
+              << "streams + batch-prefix early stop)\n";
     pass = pass && identical;
 
     std::cout << (pass ? "Baseline PASS: partly parallel is mandatory at N = 64800; "

@@ -16,7 +16,7 @@
 #include "bench_common.hpp"
 #include "code/tanner.hpp"
 #include "comm/ber.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 
 using namespace dvbs2;
 
@@ -54,22 +54,14 @@ int main(int argc, char** argv) {
         core::DecoderConfig cfg;
         cfg.schedule = cs.schedule;
         cfg.max_iterations = 60;
-        core::Decoder dec(c, cfg);
-        comm::DecodeFn fn = [&](const std::vector<double>& llr) {
-            const auto r = dec.decode(llr);
-            return comm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        };
-        const auto pt = comm::simulate_point(c, fn, ebn0, sim);
+        const auto pt = comm::simulate_point(
+            c, comm::engine_factory(c, {core::Arithmetic::Float, cfg}), ebn0, sim);
 
         // Pass 2: tight iteration cap — who still decodes?
         core::DecoderConfig cfg_cap = cfg;
         cfg_cap.max_iterations = cap;
-        core::Decoder dec_cap(c, cfg_cap);
-        comm::DecodeFn fn_cap = [&](const std::vector<double>& llr) {
-            const auto r = dec_cap.decode(llr);
-            return comm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        };
-        const auto pt_cap = comm::simulate_point(c, fn_cap, ebn0, sim);
+        const auto pt_cap = comm::simulate_point(
+            c, comm::engine_factory(c, {core::Arithmetic::Float, cfg_cap}), ebn0, sim);
 
         long long pn_store = c.params().e_pn() / 2;
         if (cs.schedule == core::Schedule::TwoPhase) pn_store = c.params().e_pn();

@@ -13,7 +13,7 @@
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
 #include "core/arith.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "core/kernels.hpp"
 #include "enc/encoder.hpp"
 #include "util/math.hpp"
@@ -164,9 +164,9 @@ static void BM_DecodeIterationFloat(benchmark::State& state) {
     cfg.schedule = core::Schedule::ZigzagForward;
     cfg.max_iterations = 1;
     cfg.early_stop = false;
-    core::Decoder dec(rate_half(), cfg);
+    const auto dec = core::make_engine(rate_half(), {core::Arithmetic::Float, cfg});
     const auto llr = noisy_llr(rate_half(), 1.0, 7);
-    for (auto _ : state) benchmark::DoNotOptimize(dec.decode(llr));
+    for (auto _ : state) benchmark::DoNotOptimize(dec->decode(llr));
     state.SetItemsProcessed(state.iterations() * rate_half().n());
 }
 BENCHMARK(BM_DecodeIterationFloat)->Unit(benchmark::kMillisecond);
@@ -176,9 +176,9 @@ static void BM_DecodeIterationFixed6(benchmark::State& state) {
     cfg.schedule = core::Schedule::ZigzagSegmented;
     cfg.max_iterations = 1;
     cfg.early_stop = false;
-    core::FixedDecoder dec(rate_half(), cfg, quant::kQuant6);
+    const auto dec = core::make_engine(rate_half(), {core::Arithmetic::Fixed, cfg, quant::kQuant6});
     const auto llr = noisy_llr(rate_half(), 1.0, 8);
-    for (auto _ : state) benchmark::DoNotOptimize(dec.decode(llr));
+    for (auto _ : state) benchmark::DoNotOptimize(dec->decode(llr));
     state.SetItemsProcessed(state.iterations() * rate_half().n());
 }
 BENCHMARK(BM_DecodeIterationFixed6)->Unit(benchmark::kMillisecond);
@@ -204,9 +204,9 @@ static void BM_FullDecode30ItersFixed(benchmark::State& state) {
     core::DecoderConfig cfg;
     cfg.schedule = core::Schedule::ZigzagForward;
     cfg.max_iterations = 30;
-    core::FixedDecoder dec(rate_half(), cfg, quant::kQuant6);
+    const auto dec = core::make_engine(rate_half(), {core::Arithmetic::Fixed, cfg, quant::kQuant6});
     const auto llr = noisy_llr(rate_half(), 1.4, 10);
-    for (auto _ : state) benchmark::DoNotOptimize(dec.decode(llr));
+    for (auto _ : state) benchmark::DoNotOptimize(dec->decode(llr));
     state.SetItemsProcessed(state.iterations() * rate_half().k());
     state.SetLabel("items = info bits (software Mbit/s)");
 }

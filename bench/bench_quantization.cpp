@@ -12,17 +12,17 @@
 //   ./bench_quantization [--rate=1/2] [--target=1e-4] [--frames=16]
 //                        [--step=0.1] [--start=0.8] [--threads=N]
 //
-// Runs on the frame-parallel Monte-Carlo engine (comm/parallel.hpp):
+// Runs on the frame-parallel Monte-Carlo harness (comm/ber.hpp):
 // --threads (default: DVBS2_THREADS env or hardware_concurrency) scales
 // frames/sec while leaving every measured number bit-identical.
 #include <iostream>
-#include <memory>
 #include <optional>
 
 #include "bench_common.hpp"
 #include "code/tanner.hpp"
-#include "comm/parallel.hpp"
-#include "core/decoder.hpp"
+#include "comm/ber.hpp"
+#include "core/engine.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace dvbs2;
 
@@ -51,35 +51,22 @@ int main(int argc, char** argv) {
     bench::SimMeter meter;
     sim.progress = meter.hook();
 
-    // One independent decoder per worker (decoders own message memories).
-    comm::DecodeFactory float_factory = [&](unsigned) {
-        auto dec = std::make_shared<core::Decoder>(c, cfg);
-        return [dec](const std::vector<double>& llr) {
-            const auto r = dec->decode(llr);
-            return comm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        };
-    };
-    auto fixed_factory = [&](const quant::QuantSpec& spec) {
-        return comm::DecodeFactory([&c, &cfg, spec](unsigned) {
-            auto dec = std::make_shared<core::FixedDecoder>(c, cfg, spec);
-            return [dec](const std::vector<double>& llr) {
-                const auto r = dec->decode(llr);
-                return comm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-            };
-        });
+    // One independent engine per worker (engines own message memories).
+    const auto fixed_factory = [&](const quant::QuantSpec& spec) {
+        return comm::engine_factory(c, {core::Arithmetic::Fixed, cfg, spec});
     };
 
-    const std::optional<double> opt_f =
-        comm::find_threshold_db_parallel(c, float_factory, target, start, step, sim, 4.0);
+    const std::optional<double> opt_f = comm::find_threshold_db(
+        c, comm::engine_factory(c, {core::Arithmetic::Float, cfg}), target, start, step, sim, 4.0);
     if (!opt_f) {
         std::cout << "E7 FAIL: float decoder never reached BER " << bench::sci(target, 0)
                   << " within the scan range\n";
         return 1;
     }
     const double th_f = *opt_f;
-    const std::optional<double> th_6 = comm::find_threshold_db_parallel(
+    const std::optional<double> th_6 = comm::find_threshold_db(
         c, fixed_factory(quant::kQuant6), target, th_f - step, step, sim, 4.0);
-    const std::optional<double> th_5 = comm::find_threshold_db_parallel(
+    const std::optional<double> th_5 = comm::find_threshold_db(
         c, fixed_factory(quant::kQuant5), target, th_f - step, step, sim, 4.0);
 
     const auto loss = [&](const std::optional<double>& th) {

@@ -16,7 +16,7 @@
 #include "bench_common.hpp"
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 
 using namespace dvbs2;
@@ -63,16 +63,17 @@ int main(int argc, char** argv) {
             core::DecoderConfig ref_cfg;
             ref_cfg.schedule = core::Schedule::ZigzagSegmented;
             ref_cfg.max_iterations = 30;
-            core::FixedDecoder ref(c, ref_cfg, rc.spec);
-            ref.set_cn_order(map.extract_cn_order());
+            const auto ref = core::make_engine(c, {core::Arithmetic::Fixed, ref_cfg, rc.spec});
+            ref->set_cn_order(map.extract_cn_order());
 
             bool msgs_ok = true, dec_ok = true;
+            core::DecodeResult b;
             for (int f = 0; f < frames; ++f) {
                 const auto ch = noisy_frame(c, 2.0, static_cast<std::uint64_t>(f) + 1, rc.spec);
                 rtl.run_iterations(ch, iters);
-                msgs_ok = msgs_ok && rtl.dump_c2v_canonical() == ref.run_and_dump_c2v(ch, iters);
+                msgs_ok = msgs_ok && rtl.dump_c2v_canonical() == ref->run_and_dump_c2v(ch, iters);
                 const auto a = rtl.decode_raw(ch);
-                const auto b = ref.decode_raw(ch);
+                ref->decode_raw_into(ch, b);
                 dec_ok = dec_ok && a.info_bits == b.info_bits && a.iterations == b.iterations &&
                          a.converged == b.converged;
             }

@@ -11,20 +11,20 @@
 //   ./bench_shannon_gap [--rates=1/2,3/4] [--target=1e-4] [--frames=12]
 //                       [--step=0.15] [--all] [--threads=N]
 //
-// Runs on the frame-parallel Monte-Carlo engine (comm/parallel.hpp):
+// Runs on the frame-parallel Monte-Carlo harness (comm/ber.hpp):
 // --threads (default: DVBS2_THREADS env or hardware_concurrency) scales
 // frames/sec while leaving every measured number bit-identical.
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <sstream>
 
 #include "bench_common.hpp"
 #include "code/tanner.hpp"
 #include "comm/capacity.hpp"
-#include "comm/parallel.hpp"
-#include "core/decoder.hpp"
+#include "comm/ber.hpp"
+#include "core/engine.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace dvbs2;
 
@@ -64,17 +64,10 @@ int main(int argc, char** argv) {
         core::DecoderConfig cfg;
         cfg.schedule = core::Schedule::ZigzagForward;
         cfg.max_iterations = 30;
-        // One independent decoder per worker: decoders own message memories.
-        comm::DecodeFactory factory = [&](unsigned) {
-            auto dec = std::make_shared<core::Decoder>(c, cfg);
-            return [dec](const std::vector<double>& llr) {
-                const auto r = dec->decode(llr);
-                return comm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-            };
-        };
         const double limit = comm::shannon_limit_bpsk_db(c.params().rate());
-        const std::optional<double> th = comm::find_threshold_db_parallel(
-            c, factory, target, limit + 0.3, step, sim, limit + 3.0);
+        const std::optional<double> th = comm::find_threshold_db(
+            c, comm::engine_factory(c, {core::Arithmetic::Float, cfg}), target, limit + 0.3, step,
+            sim, limit + 3.0);
         // No threshold within the scan range: the gap is not "3 dB", it is
         // unbounded — report it as such and fail the shape check.
         const double gap = th ? *th - limit : std::numeric_limits<double>::infinity();

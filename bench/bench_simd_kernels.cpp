@@ -41,7 +41,6 @@
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
 #include "core/arith.hpp"
-#include "core/decoder.hpp"
 #include "core/engine.hpp"
 #include "core/mp_decoder.hpp"
 #include "core/simd/batch_decoder.hpp"

@@ -16,7 +16,7 @@
 //
 // Runs on the frame-parallel Monte-Carlo engine with one decoder engine per
 // worker, decoding in engine-preferred batch blocks: results are
-// bit-identical for every --threads value (see comm/parallel.hpp).
+// bit-identical for every --threads value (see comm/ber.hpp).
 #include <iostream>
 #include <memory>
 
@@ -25,8 +25,9 @@
 #include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "comm/capacity.hpp"
-#include "comm/parallel.hpp"
-#include "core/decoder.hpp"
+#include "comm/ber.hpp"
+#include "core/engine.hpp"
+#include "util/thread_pool.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -76,15 +77,15 @@ int main(int argc, char** argv) try {
     const int bits = static_cast<int>(args.get_int("bits", 6));
 
     // One engine per worker — engines own message memories and decode
-    // workspaces, and the parallel engine never shares them across threads.
-    // make_engine runs the central config validation up front, so an illegal
-    // value (e.g. a negative --iters) fails here with a diagnostic naming
-    // the offending option.
+    // workspaces, and the harness never shares them across threads.
+    // engine_factory runs the central config validation up front, so an
+    // illegal value (e.g. a negative --iters) fails here with a diagnostic
+    // naming the offending option.
     core::EngineSpec spec;
     spec.arith = fixed ? core::Arithmetic::Fixed : core::Arithmetic::Float;
     spec.config = cfg;
     spec.quant = bits == 5 ? quant::kQuant5 : quant::kQuant6;
-    core::validate_engine_spec(spec);
+    const comm::EngineFactory factory = comm::engine_factory(ldpc, spec);
 
     comm::SimConfig sim;
     sim.limits.max_frames = static_cast<std::uint64_t>(args.get_int("frames", 50));
@@ -128,9 +129,8 @@ int main(int argc, char** argv) try {
 
     util::TextTable table;
     table.set_header({"Eb/N0 [dB]", "frames", "BER", "FER", "avg iters"});
-    util::ThreadPool pool(sim.threads);
-    for (double snr : snrs) {
-        const auto pt = comm::simulate_point_engine(ldpc, spec, snr, sim, &pool);
+    for (const comm::BerPoint& pt : comm::simulate_sweep(ldpc, factory, snrs, sim)) {
+        const double snr = pt.ebn0_db;
         std::ostringstream ber;
         ber.precision(3);
         ber << std::scientific << pt.ber(static_cast<std::uint64_t>(ldpc.k()));

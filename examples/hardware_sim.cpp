@@ -17,7 +17,7 @@
 #include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -74,9 +74,9 @@ int main(int argc, char** argv) try {
     core::DecoderConfig ref_cfg;
     ref_cfg.schedule = core::Schedule::ZigzagSegmented;
     ref_cfg.max_iterations = 30;
-    core::FixedDecoder ref(ldpc, ref_cfg, rc.spec);
-    ref.set_cn_order(mapping.extract_cn_order());
-    const auto ref_res = ref.decode(llr);
+    const auto ref = core::make_engine(ldpc, {core::Arithmetic::Fixed, ref_cfg, rc.spec});
+    ref->set_cn_order(mapping.extract_cn_order());
+    const auto ref_res = ref->decode(llr);
     std::cout << "bit-exact vs fixed-point reference: "
               << (res.info_bits == ref_res.info_bits && res.iterations == ref_res.iterations
                       ? "YES"

@@ -9,7 +9,7 @@
 #include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 #include "util/cli.hpp"
 
@@ -46,10 +46,10 @@ int main(int argc, char** argv) try {
         core::DecoderConfig cfg;
         cfg.schedule = schedule;
         cfg.max_iterations = iters;
-        core::Decoder dec(ldpc, cfg);
+        const auto dec = core::make_engine(ldpc, {core::Arithmetic::Float, cfg});
         std::vector<core::IterationTrace> traces;
-        dec.set_observer([&](const core::IterationTrace& t) { traces.push_back(t); });
-        const auto res = dec.decode(llr);
+        dec->set_observer([&](const core::IterationTrace& t) { traces.push_back(t); });
+        const auto res = dec->decode(llr);
 
         std::cout << std::left << std::setw(18) << core::to_string(schedule)
                   << " unsatisfied checks per iteration:\n  ";

@@ -9,9 +9,9 @@
 // with the segment-boundary hand-off between neighbouring FUs, and the
 // channel RAMs.
 //
-// Functional correctness: bit-exact with
-//   core::FixedDecoder{Schedule::ZigzagSegmented, cn_order =
-//   mapping.extract_cn_order()}
+// Functional correctness: bit-exact with the fixed-scalar engine
+// (core::make_engine, Arithmetic::Fixed, Schedule::ZigzagSegmented) after
+// set_cn_order(mapping.extract_cn_order())
 // because both compute through core::compute_extrinsics over the same input
 // sequences with the same saturating integer arithmetic (experiment E10).
 //
@@ -24,7 +24,9 @@
 
 #include "arch/conflict.hpp"
 #include "arch/mapping.hpp"
-#include "core/decoder.hpp"
+#include "code/tanner.hpp"
+#include "core/types.hpp"
+#include "quant/fixed.hpp"
 
 namespace dvbs2::arch {
 

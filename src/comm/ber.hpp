@@ -2,50 +2,47 @@
 //
 // Runs the full chain encode → modulate → AWGN → decode for a sweep of
 // Eb/N0 points, with early stopping once enough error events are observed.
-// The decoder is injected as a callback so the harness works with the
-// floating-point decoder, the fixed-point decoder and the cycle-driven
-// architecture model alike (no dependency on the core decoders or the arch
-// model — only on the plain core::ConvergenceStats telemetry value type,
-// which every decode path feeds).
+// There is one decode path: every worker owns a core::Engine (built by an
+// EngineFactory, usually engine_factory(code, spec)) and decodes its frames
+// through Engine::decode_batch in blocks of Engine::preferred_batch()
+// frames, so the SIMD frame-per-lane engine sees whole batches. All decode
+// workspaces are worker-owned and reused: the steady-state decode path
+// performs no heap allocation.
 //
-// Determinism contract (also the parallel engine's, see comm/parallel.hpp):
-// every random quantity is a pure function of logical coordinates, never of
-// evaluation order. Point p of a sweep draws from streams seeded by
-// point_stream_seed(cfg.seed, ebn0_db) — a function of the Eb/N0 *value*,
-// so permuting the sweep vector permutes the results. Frame f of a point
-// draws its data bits and its noise from two streams seeded by
-// frame_data_seed / frame_noise_seed(point_seed, f). Early stopping is
-// batch-wise: frames are grouped into batches of cfg.batch_frames
-// consecutive frame indices, and the result is the tally over the shortest
-// batch prefix whose cumulative counts satisfy SimLimits (or all frames up
-// to max_frames). Both rules are scheduling-independent, which is what
-// makes the counts identical for any thread count, including 1.
+// Determinism contract: every random quantity is a pure function of logical
+// coordinates, never of evaluation order, so tallies are bit-identical for
+// every thread count, including 1. Three mechanisms make that hold:
+//
+//   1. Counter-based RNG streams. Point p of a sweep draws from streams
+//      seeded by point_stream_seed(cfg.seed, ebn0_db) — a function of the
+//      Eb/N0 *value*, so permuting the sweep vector permutes the results.
+//      Frame f of a point draws its data bits and its noise from two streams
+//      seeded by frame_data_seed / frame_noise_seed(point_seed, f).
+//   2. Batch-claimed scheduling. Frames are grouped into batches of
+//      cfg.batch_frames consecutive frame indices; workers claim batches
+//      from an atomic cursor. Which worker gets which batch varies run to
+//      run, but the *content* of a batch does not.
+//   3. Deterministic reduction. A single frontier merges per-batch tallies
+//      in batch-index order and evaluates the SimLimits early-stop predicate
+//      on batch prefixes only. The result is the tally over the shortest
+//      stopping prefix (or all frames up to max_frames); batches a worker
+//      had already started beyond it are discarded.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
+#include "core/engine.hpp"
 #include "core/types.hpp"
-#include "enc/encoder.hpp"
 #include "util/bitvec.hpp"
 
 namespace dvbs2::comm {
-
-/// What a decoder returns to the harness.
-struct DecodeOutcome {
-    util::BitVec info_bits;  ///< hard decisions for the K information bits
-    bool converged = false;  ///< syndrome satisfied before the iteration cap
-    int iterations = 0;      ///< iterations actually executed
-};
-
-/// Decoder under test: channel LLRs (size N, sign convention: positive → 0)
-/// to decoded info bits.
-using DecodeFn = std::function<DecodeOutcome(const std::vector<double>& llr)>;
 
 /// Stopping/size limits for one Eb/N0 point.
 struct SimLimits {
@@ -85,8 +82,8 @@ struct BerPoint {
 
 /// Progress snapshot of one Eb/N0 point, emitted at batch-merge boundaries
 /// and once more (with `finished = true`) after the point completes. The
-/// callback runs under the engine's reduction lock: keep it cheap and do
-/// not re-enter the engine from it.
+/// callback runs under the harness's reduction lock: keep it cheap and do
+/// not re-enter the harness from it.
 struct SimProgress {
     double ebn0_db = 0.0;
     std::uint64_t frames = 0;      ///< frames merged into the result so far
@@ -109,13 +106,9 @@ struct SimConfig {
     std::uint64_t seed = 1;
     bool random_data = true;  ///< false → all-zero codeword (decoder-symmetric)
     SimLimits limits;
-    /// Worker threads for the parallel engine (comm/parallel.hpp):
-    /// 0 = auto (DVBS2_THREADS env var, else hardware_concurrency). The
-    /// DecodeFn entry points below always run serially — a single decoder
-    /// callback may own mutable state and must not be called concurrently —
-    /// but produce tallies identical to the parallel engine at any thread
-    /// count, because frame streams and early stopping depend only on frame
-    /// indices (see header comment).
+    /// Worker threads: 0 = auto (DVBS2_THREADS env var, else
+    /// hardware_concurrency). Tallies are identical for every value (see
+    /// the header comment).
     unsigned threads = 0;
     /// Frames per scheduling batch; early stopping is decided on batch
     /// prefixes, so this is part of the deterministic result, not a tuning
@@ -135,12 +128,25 @@ std::uint64_t point_stream_seed(std::uint64_t seed, double ebn0_db);
 std::uint64_t frame_data_seed(std::uint64_t point_seed, std::uint64_t frame);
 std::uint64_t frame_noise_seed(std::uint64_t point_seed, std::uint64_t frame);
 
-/// Simulates one Eb/N0 point (serial; see SimConfig::threads).
-BerPoint simulate_point(const code::Dvbs2Code& code, const DecodeFn& decode, double ebn0_db,
-                        const SimConfig& cfg);
+/// Builds the engine used by one worker. Called once per worker (index in
+/// [0, threads)) and point before any frame is simulated; each engine is
+/// only ever driven from its own worker. Decoding must be a deterministic
+/// function of the LLRs.
+using EngineFactory = std::function<std::unique_ptr<core::Engine>(unsigned worker)>;
 
-/// Simulates a sweep of points (independent RNG streams per point).
-std::vector<BerPoint> simulate_sweep(const code::Dvbs2Code& code, const DecodeFn& decode,
+/// The factory of engines built from `spec` by core::make_engine. Runs
+/// core::validate_engine_spec up front, so an illegal spec fails here, before
+/// any point runs. `code` must outlive the factory.
+EngineFactory engine_factory(const code::Dvbs2Code& code, const core::EngineSpec& spec);
+
+/// Simulates one Eb/N0 point on `cfg.threads` workers (0 = auto).
+BerPoint simulate_point(const code::Dvbs2Code& code, const EngineFactory& factory,
+                        double ebn0_db, const SimConfig& cfg);
+
+/// Sweep over `ebn0_db` with one shared worker pool. Points run one after
+/// another with all workers on the current point, so results match
+/// point-by-point calls exactly (streams are per point).
+std::vector<BerPoint> simulate_sweep(const code::Dvbs2Code& code, const EngineFactory& factory,
                                      const std::vector<double>& ebn0_db, const SimConfig& cfg);
 
 /// Finds the smallest Eb/N0 (dB, within `step_db`) at which the measured BER
@@ -150,8 +156,9 @@ std::vector<BerPoint> simulate_sweep(const code::Dvbs2Code& code, const DecodeFn
 /// std::nullopt when no scanned point meets the target — distinguishable
 /// from a threshold exactly at max_db. Used for threshold/gap measurements
 /// (E4, E7, E8).
-std::optional<double> find_threshold_db(const code::Dvbs2Code& code, const DecodeFn& decode,
-                                        double target_ber, double start_db, double step_db,
-                                        const SimConfig& cfg, double max_db = 12.0);
+std::optional<double> find_threshold_db(const code::Dvbs2Code& code,
+                                        const EngineFactory& factory, double target_ber,
+                                        double start_db, double step_db, const SimConfig& cfg,
+                                        double max_db = 12.0);
 
 }  // namespace dvbs2::comm

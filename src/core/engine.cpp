@@ -1,7 +1,6 @@
 // Unified decoder-engine layer: central validation, the three engine
-// implementations (float-scalar, fixed-scalar, fixed-simd) and the
-// make_engine factory that picks one. The public Decoder/FixedDecoder
-// classes are thin wrappers over make_engine (see decoder.cpp).
+// implementations (float-scalar, fixed-scalar, fixed-simd), the make_engine
+// factory that picks one, and the to_string names of the core enums.
 #include "core/engine.hpp"
 
 #include <algorithm>
@@ -23,6 +22,43 @@
 #include "util/math.hpp"
 
 namespace dvbs2::core {
+
+const char* to_string(Schedule s) {
+    switch (s) {
+        case Schedule::TwoPhase: return "two-phase";
+        case Schedule::ZigzagForward: return "zigzag-forward";
+        case Schedule::ZigzagSegmented: return "zigzag-segmented";
+        case Schedule::ZigzagMap: return "zigzag-map";
+        case Schedule::Layered: return "layered";
+    }
+    return "?";
+}
+
+const char* to_string(CheckRule r) {
+    switch (r) {
+        case CheckRule::Exact: return "exact";
+        case CheckRule::MinSum: return "min-sum";
+        case CheckRule::NormalizedMinSum: return "normalized-min-sum";
+        case CheckRule::OffsetMinSum: return "offset-min-sum";
+    }
+    return "?";
+}
+
+const char* to_string(DecoderBackend b) {
+    switch (b) {
+        case DecoderBackend::Scalar: return "scalar";
+        case DecoderBackend::Simd: return "simd";
+    }
+    return "?";
+}
+
+const char* to_string(Arithmetic a) {
+    switch (a) {
+        case Arithmetic::Float: return "float";
+        case Arithmetic::Fixed: return "fixed";
+    }
+    return "?";
+}
 
 // ------------------------------------------------------------- validation
 
@@ -124,8 +160,7 @@ void validate_engine_spec(const EngineSpec& spec) {
     if (spec.arith == Arithmetic::Float) {
         DVBS2_REQUIRE(c.backend != DecoderBackend::Simd,
                       "backend=simd models the fixed-point datapath only; "
-                      "use fixed arithmetic (core::FixedDecoder / Arithmetic::Fixed) "
-                      "for DecoderBackend::Simd");
+                      "use fixed arithmetic (Arithmetic::Fixed) for DecoderBackend::Simd");
     } else {
         quant::validate_spec(spec.quant);
     }
@@ -399,10 +434,13 @@ private:
 ///    schedules, whose check phase has no lane parallelism;
 ///  * two or more frames run frame-per-lane (lane = frame) through
 ///    decode_stream, with per-lane early termination and lane compaction.
+///    The frame-per-lane block (W frames of message memory) is built on the
+///    first such call, so an engine that only ever decodes single frames
+///    never pays for it.
 class SimdEngine final : public Engine {
 public:
     SimdEngine(const code::Dvbs2Code& code, const EngineSpec& spec)
-        : spec_(spec), batch_(code, spec.config, spec.quant) {
+        : code_(&code), spec_(spec) {
         if (analysis::ir::classify_schedule(spec.config.schedule).group_parallel_legal)
             group_ = std::make_unique<SimdFixedDecoder>(code, spec.config, spec.quant);
         else
@@ -471,8 +509,10 @@ protected:
         // demand as lanes claim them, and retired lanes are refilled from
         // the pending frames (lane compaction), so a mixed-convergence batch
         // never leaves lanes idle while frames wait.
+        if (!batch_)
+            batch_ = std::make_unique<SimdBatchFixedDecoder>(*code_, spec_.config, spec_.quant);
         StreamCtx ctx{this, llrs.data(), n};
-        batch_.decode_stream(b, &SimdEngine::quantize_frame, &ctx, out.data());
+        batch_->decode_stream(b, &SimdEngine::quantize_frame, &ctx, out.data());
     }
 
 private:
@@ -504,8 +544,9 @@ private:
             chain_->mp.decode_into(qllr, out);
     }
 
+    const code::Dvbs2Code* code_;
     EngineSpec spec_;
-    SimdBatchFixedDecoder batch_;                  // lane = frame (two or more frames)
+    std::unique_ptr<SimdBatchFixedDecoder> batch_; // lane = frame (two or more frames)
     std::unique_ptr<SimdFixedDecoder> group_;      // lane = functional unit (one frame)
     std::unique_ptr<FixedScalarDecoder> chain_;    // one frame, serial-chain schedules
     DecodeWorkspace<quant::QLLR> ws_;

@@ -22,7 +22,7 @@
 // built for (the code must outlive it) and owns all of its mutable state —
 // message memories, staging buffers, batch blocks — in a workspace reused
 // across calls. Engines are therefore stateful and NOT thread-safe: build
-// one engine per worker (see comm/parallel.hpp and service/service.hpp).
+// one engine per worker (see comm/ber.hpp and service/service.hpp).
 // The single supported cross-thread operation is convergence_snapshot(),
 // which a metrics poller may call while the owning thread decodes — every
 // other member requires the single-writer discipline. After a first call has
@@ -58,9 +58,9 @@ struct EngineSpec {
 /// diagnostic naming the offending option for any illegal combination
 /// (float arithmetic with the SIMD backend, a schedule whose state is not
 /// frame-local, an out-of-range normalization/offset/iteration count, a
-/// malformed quantizer spec). Every construction path — engines
-/// from make_engine, the Decoder/FixedDecoder wrappers — routes through
-/// this, so there is exactly one place that decides legality.
+/// malformed quantizer spec). make_engine — the only construction path —
+/// and the Monte-Carlo harness's comm::engine_factory route through this, so
+/// there is exactly one place that decides legality.
 void validate_engine_spec(const EngineSpec& spec);
 
 /// The per-event range certificate validate_engine_spec consults for

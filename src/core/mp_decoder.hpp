@@ -10,8 +10,9 @@
 // sequence, so a functional-unit model that consumes messages serially in
 // the same order is bit-exact with this reference.
 //
-// Internal header: include via core/decoder.hpp unless you are the
-// architecture model or a test that needs the template directly.
+// Internal header: decode through core::Engine (core/engine.hpp) unless you
+// are an engine, the architecture model or a test that needs the template
+// directly.
 #pragma once
 
 #include <cmath>

@@ -148,7 +148,7 @@ struct ConvergenceStats {
 };
 
 /// Per-iteration diagnostics delivered to an observer (see
-/// Decoder::set_observer): convergence analyses, waterfall debugging, and
+/// Engine::set_observer): convergence analyses, waterfall debugging, and
 /// the E4 bench use these.
 struct IterationTrace {
     int iteration = 0;            ///< 1-based iteration index

@@ -1,7 +1,10 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
+#include <string_view>
 
 namespace dvbs2::util {
 
@@ -31,7 +34,27 @@ double parse_double(const std::string& text, const std::string& what) {
     return v;
 }
 
+namespace {
+
+/// "--a, --b, --help": every option the program accepts.
+std::string accepted_options(const std::vector<std::string>& allowed) {
+    std::string accepted;
+    for (const std::string& a : allowed) accepted += "--" + a + ", ";
+    return accepted + "--help";
+}
+
+}  // namespace
+
 CliArgs::CliArgs(int argc, const char* const* argv, std::vector<std::string> allowed) {
+    for (int i = 1; i < argc; ++i) {
+        if (std::string_view(argv[i]) == "--help") {
+            const std::string prog = argc > 0 ? std::string(argv[0]) : std::string("program");
+            std::cout << "usage: " << prog.substr(prog.find_last_of('/') + 1)
+                      << " [--option[=value] ...] where --option is one of: "
+                      << accepted_options(allowed) << std::endl;
+            std::exit(0);
+        }
+    }
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
@@ -41,11 +64,9 @@ CliArgs::CliArgs(int argc, const char* const* argv, std::vector<std::string> all
         const std::string body = arg.substr(2);
         const auto eq = body.find('=');
         const std::string name = body.substr(0, eq);
-        if (std::find(allowed.begin(), allowed.end(), name) == allowed.end()) {
-            std::string accepted;
-            for (const std::string& a : allowed) accepted += (accepted.empty() ? "--" : ", --") + a;
-            throw std::runtime_error("unknown option --" + name + " (accepted: " + accepted + ")");
-        }
+        if (std::find(allowed.begin(), allowed.end(), name) == allowed.end())
+            throw std::runtime_error("unknown option --" + name +
+                                     " (accepted: " + accepted_options(allowed) + ")");
         values_[name] = (eq == std::string::npos) ? std::string{} : body.substr(eq + 1);
     }
 }

@@ -1,7 +1,8 @@
 // Minimal command-line option parser for the example and bench binaries.
 //
 // Supports --name=value and --flag forms. Unknown options raise an error so
-// typos are caught instead of silently ignored.
+// typos are caught instead of silently ignored; --help prints a usage line
+// naming the program and every accepted option, then exits 0.
 #pragma once
 
 #include <map>
@@ -25,7 +26,9 @@ class CliArgs {
 public:
     /// Parses argv; `allowed` lists the option names (without "--") the
     /// program accepts. Throws std::runtime_error on an unknown option, with
-    /// a message naming it and every accepted option.
+    /// a message naming it and every accepted option. `--help` is always
+    /// accepted: it prints the usage line to stdout and exits the process
+    /// with status 0.
     CliArgs(int argc, const char* const* argv, std::vector<std::string> allowed);
 
     /// True if --name was present (with or without a value).

@@ -5,7 +5,9 @@
 // workspace and the caller's DecodeResult), then asserts that steady-state
 // decode_into / decode_batch calls perform exactly ZERO heap allocations —
 // for the float-scalar and fixed-scalar engines and both lane mappings of
-// the SIMD engine.
+// the SIMD engine. A byte counter beside the allocation counter pins that a
+// SIMD engine which only decodes single frames never builds its
+// frame-per-lane block.
 //
 // The aligned variants matter: the frame-per-lane batch engine stores
 // vector<VecVal> with __m256i members, so its (warmup-time) allocations go
@@ -18,6 +20,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "code/params.hpp"
@@ -32,18 +35,23 @@ namespace {
 
 std::atomic<bool> g_tracking{false};
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_bytes{0};
+
+void count(std::size_t size) {
+    if (!g_tracking.load(std::memory_order_relaxed)) return;
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* counted_alloc(std::size_t size) {
-    if (g_tracking.load(std::memory_order_relaxed))
-        g_allocs.fetch_add(1, std::memory_order_relaxed);
+    count(size);
     void* p = std::malloc(size ? size : 1);
     if (!p) throw std::bad_alloc();
     return p;
 }
 
 void* counted_alloc_aligned(std::size_t size, std::size_t align) {
-    if (g_tracking.load(std::memory_order_relaxed))
-        g_allocs.fetch_add(1, std::memory_order_relaxed);
+    count(size);
     if (align < sizeof(void*)) align = sizeof(void*);
     void* p = nullptr;
     if (posix_memalign(&p, align, size ? size : align) != 0) throw std::bad_alloc();
@@ -133,10 +141,18 @@ std::vector<double> noisy_llrs(const dc::Dvbs2Code& code, double ebn0_db, std::u
 template <class Fn>
 std::uint64_t allocations_during(Fn&& fn) {
     g_allocs.store(0, std::memory_order_relaxed);
+    g_bytes.store(0, std::memory_order_relaxed);
     g_tracking.store(true, std::memory_order_relaxed);
     fn();
     g_tracking.store(false, std::memory_order_relaxed);
     return g_allocs.load(std::memory_order_relaxed);
+}
+
+/// Heap bytes requested over `fn()`, over the same scoped window.
+template <class Fn>
+std::uint64_t bytes_during(Fn&& fn) {
+    (void)allocations_during(std::forward<Fn>(fn));
+    return g_bytes.load(std::memory_order_relaxed);
 }
 
 dd::EngineSpec make_spec(dd::Arithmetic arith, dd::DecoderBackend backend,
@@ -183,6 +199,28 @@ TEST(AllocFree, HooksCountAllocations) {
     EXPECT_EQ(none, 0u);
     const auto some = allocations_during([] { std::vector<int> v(1024, 7); });
     EXPECT_GE(some, 1u);
+    EXPECT_GE(bytes_during([] { std::vector<int> v(1024, 7); }), 1024 * sizeof(int));
+}
+
+TEST(AllocFree, SingleFrameSimdEngineSkipsTheLaneBlock) {
+    // A SIMD engine that only ever decodes single frames must not pay for
+    // the W-frame frame-per-lane block: building it plus one decode_into
+    // costs fewer heap bytes than that block alone, on both single-frame
+    // paths (group-parallel two-phase, scalar-chain zigzag-forward).
+    const dc::Dvbs2Code code(dc::standard_params(dc::CodeRate::R1_2));
+    const auto llr = noisy_llrs(code, 2.0, 7);
+    for (const dd::Schedule schedule : {dd::Schedule::TwoPhase, dd::Schedule::ZigzagForward}) {
+        const auto spec = make_spec(dd::Arithmetic::Fixed, dd::DecoderBackend::Simd, schedule);
+        const std::uint64_t block =
+            bytes_during([&] { dd::SimdBatchFixedDecoder lanes(code, spec.config, spec.quant); });
+        dd::DecodeResult out;
+        const std::uint64_t engine = bytes_during([&] {
+            const auto eng = dd::make_engine(code, spec);
+            eng->decode_into(llr, out);
+        });
+        EXPECT_LT(engine, block) << dd::to_string(schedule) << ": engine " << engine
+                                 << " B vs lane block " << block << " B";
+    }
 }
 
 TEST(AllocFree, FloatScalarDecodeInto) {

@@ -16,7 +16,7 @@
 #include "arch/throughput.hpp"
 #include "code/params.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 
 namespace da = dvbs2::arch;
@@ -362,14 +362,14 @@ TEST(Rtl, BitExactWithReferenceFixedDecoderToy) {
     ref_cfg.schedule = dd::Schedule::ZigzagSegmented;
     ref_cfg.max_iterations = 8;
     ref_cfg.early_stop = false;
-    dd::FixedDecoder ref(toy_code(), ref_cfg, rc.spec);
-    ref.set_cn_order(map.extract_cn_order());
+    const auto ref = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, ref_cfg, rc.spec});
+    ref->set_cn_order(map.extract_cn_order());
 
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
         const auto ch = noisy_channel(toy_code(), 3.0, seed, rc.spec);
         rtl.run_iterations(ch, 5);
         const auto rtl_msgs = rtl.dump_c2v_canonical();
-        const auto ref_msgs = ref.run_and_dump_c2v(ch, 5);
+        const auto ref_msgs = ref->run_and_dump_c2v(ch, 5);
         ASSERT_EQ(rtl_msgs.size(), ref_msgs.size());
         EXPECT_EQ(rtl_msgs, ref_msgs) << "seed " << seed;
     }
@@ -385,12 +385,12 @@ TEST(Rtl, BitExactAfterAnnealing) {
     da::RtlDecoder rtl(toy_code(), map, rc);
     dd::DecoderConfig ref_cfg;
     ref_cfg.schedule = dd::Schedule::ZigzagSegmented;
-    dd::FixedDecoder ref(toy_code(), ref_cfg, rc.spec);
-    ref.set_cn_order(map.extract_cn_order());
+    const auto ref = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, ref_cfg, rc.spec});
+    ref->set_cn_order(map.extract_cn_order());
 
     const auto ch = noisy_channel(toy_code(), 3.0, 42, rc.spec);
     rtl.run_iterations(ch, 4);
-    EXPECT_EQ(rtl.dump_c2v_canonical(), ref.run_and_dump_c2v(ch, 4));
+    EXPECT_EQ(rtl.dump_c2v_canonical(), ref->run_and_dump_c2v(ch, 4));
 }
 
 TEST(Rtl, DecodesCleanChannel) {
@@ -417,13 +417,14 @@ TEST(Rtl, FullDecodeMatchesReferenceOutcome) {
     dd::DecoderConfig ref_cfg;
     ref_cfg.schedule = dd::Schedule::ZigzagSegmented;
     ref_cfg.max_iterations = 15;
-    dd::FixedDecoder ref(toy_code(), ref_cfg, rc.spec);
-    ref.set_cn_order(map.extract_cn_order());
+    const auto ref = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, ref_cfg, rc.spec});
+    ref->set_cn_order(map.extract_cn_order());
 
     for (std::uint64_t seed = 10; seed < 18; ++seed) {
         const auto ch = noisy_channel(toy_code(), 4.0, seed, rc.spec);
         const auto a = rtl.decode_raw(ch);
-        const auto b = ref.decode_raw(ch);
+        dd::DecodeResult b;
+        ref->decode_raw_into(ch, b);
         EXPECT_EQ(a.info_bits, b.info_bits) << seed;
         EXPECT_EQ(a.iterations, b.iterations) << seed;
         EXPECT_EQ(a.converged, b.converged) << seed;
@@ -450,12 +451,12 @@ TEST(Rtl, BitExactOnFullSizeRateHalf) {
     da::RtlDecoder rtl(code, map, rc);
     dd::DecoderConfig ref_cfg;
     ref_cfg.schedule = dd::Schedule::ZigzagSegmented;
-    dd::FixedDecoder ref(code, ref_cfg, rc.spec);
-    ref.set_cn_order(map.extract_cn_order());
+    const auto ref = dd::make_engine(code, {dd::Arithmetic::Fixed, ref_cfg, rc.spec});
+    ref->set_cn_order(map.extract_cn_order());
 
     const auto ch = noisy_channel(code, 1.5, 3, rc.spec);
     rtl.run_iterations(ch, 3);
-    EXPECT_EQ(rtl.dump_c2v_canonical(), ref.run_and_dump_c2v(ch, 3));
+    EXPECT_EQ(rtl.dump_c2v_canonical(), ref->run_and_dump_c2v(ch, 3));
 }
 
 // ------------------------------------------ conflict-model write coverage

@@ -6,11 +6,12 @@
 #include "arch/rom_image.hpp"
 #include "code/params.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 
 namespace da = dvbs2::arch;
 namespace dc = dvbs2::code;
+namespace dd = dvbs2::core;
 namespace dm = dvbs2::comm;
 using dvbs2::util::BitVec;
 
@@ -174,8 +175,8 @@ TEST(RtlRules, BitExactForMinSumFamilies) {
         dvbs2::core::DecoderConfig ref_cfg;
         ref_cfg.schedule = dvbs2::core::Schedule::ZigzagSegmented;
         ref_cfg.rule = rule;
-        dvbs2::core::FixedDecoder ref(code, ref_cfg, rc.spec);
-        ref.set_cn_order(map.extract_cn_order());
+        const auto ref = dd::make_engine(code, {dd::Arithmetic::Fixed, ref_cfg, rc.spec});
+        ref->set_cn_order(map.extract_cn_order());
 
         const dvbs2::enc::Encoder enc(code);
         const BitVec cw = enc.encode(dvbs2::enc::random_info_bits(code.k(), 4));
@@ -185,7 +186,7 @@ TEST(RtlRules, BitExactForMinSumFamilies) {
         for (std::size_t i = 0; i < llr.size(); ++i)
             q[i] = dvbs2::quant::quantize(llr[i], rc.spec);
         rtl.run_iterations(q, 4);
-        EXPECT_EQ(rtl.dump_c2v_canonical(), ref.run_and_dump_c2v(q, 4))
+        EXPECT_EQ(rtl.dump_c2v_canonical(), ref->run_and_dump_c2v(q, 4))
             << dvbs2::core::to_string(rule);
     }
 }
@@ -198,8 +199,8 @@ TEST(RtlRules, FiveBitDatapathBitExactToo) {
     da::RtlDecoder rtl(code, map, rc);
     dvbs2::core::DecoderConfig ref_cfg;
     ref_cfg.schedule = dvbs2::core::Schedule::ZigzagSegmented;
-    dvbs2::core::FixedDecoder ref(code, ref_cfg, rc.spec);
-    ref.set_cn_order(map.extract_cn_order());
+    const auto ref = dd::make_engine(code, {dd::Arithmetic::Fixed, ref_cfg, rc.spec});
+    ref->set_cn_order(map.extract_cn_order());
 
     const dvbs2::enc::Encoder enc(code);
     const BitVec cw = enc.encode(dvbs2::enc::random_info_bits(code.k(), 9));
@@ -209,7 +210,7 @@ TEST(RtlRules, FiveBitDatapathBitExactToo) {
     for (std::size_t i = 0; i < llr.size(); ++i)
         q[i] = dvbs2::quant::quantize(llr[i], rc.spec);
     rtl.run_iterations(q, 5);
-    EXPECT_EQ(rtl.dump_c2v_canonical(), ref.run_and_dump_c2v(q, 5));
+    EXPECT_EQ(rtl.dump_c2v_canonical(), ref->run_and_dump_c2v(q, 5));
 }
 
 // ----------------------------------------------- fully-parallel baseline
@@ -252,8 +253,8 @@ TEST(RtlAllRates, TwoIterationBitExactEveryRate) {
         da::RtlDecoder rtl(code, map, rc);
         dvbs2::core::DecoderConfig ref_cfg;
         ref_cfg.schedule = dvbs2::core::Schedule::ZigzagSegmented;
-        dvbs2::core::FixedDecoder ref(code, ref_cfg, rc.spec);
-        ref.set_cn_order(map.extract_cn_order());
+        const auto ref = dd::make_engine(code, {dd::Arithmetic::Fixed, ref_cfg, rc.spec});
+        ref->set_cn_order(map.extract_cn_order());
 
         const dvbs2::enc::Encoder enc(code);
         const BitVec cw = enc.encode(dvbs2::enc::random_info_bits(code.k(), 3));
@@ -263,6 +264,6 @@ TEST(RtlAllRates, TwoIterationBitExactEveryRate) {
         for (std::size_t i = 0; i < llr.size(); ++i)
             q[i] = dvbs2::quant::quantize(llr[i], rc.spec);
         rtl.run_iterations(q, 2);
-        EXPECT_EQ(rtl.dump_c2v_canonical(), ref.run_and_dump_c2v(q, 2)) << dc::to_string(rate);
+        EXPECT_EQ(rtl.dump_c2v_canonical(), ref->run_and_dump_c2v(q, 2)) << dc::to_string(rate);
     }
 }

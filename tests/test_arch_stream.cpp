@@ -9,11 +9,12 @@
 #include "arch/stream.hpp"
 #include "code/params.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 
 namespace da = dvbs2::arch;
 namespace dc = dvbs2::code;
+namespace dd = dvbs2::core;
 using dvbs2::util::BitVec;
 
 namespace {
@@ -190,9 +191,9 @@ TEST(Energy, MemoryDominatesOnFullSizeCode) {
 TEST(Trace, ObserverSeesMonotoneConvergence) {
     dvbs2::core::DecoderConfig cfg;
     cfg.max_iterations = 20;
-    dvbs2::core::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
     std::vector<dvbs2::core::IterationTrace> traces;
-    dec.set_observer([&](const dvbs2::core::IterationTrace& t) { traces.push_back(t); });
+    dec->set_observer([&](const dvbs2::core::IterationTrace& t) { traces.push_back(t); });
 
     const dvbs2::enc::Encoder enc(toy_code());
     const BitVec info = dvbs2::enc::random_info_bits(toy_code().k(), 3);
@@ -200,7 +201,7 @@ TEST(Trace, ObserverSeesMonotoneConvergence) {
     const double sigma =
         dvbs2::comm::noise_sigma(6.0, toy_code().params().rate(), dvbs2::comm::Modulation::Bpsk);
     const auto llr = modem.transmit(enc.encode(info), sigma);
-    const auto res = dec.decode(llr);
+    const auto res = dec->decode(llr);
 
     ASSERT_EQ(static_cast<int>(traces.size()), res.iterations);
     for (std::size_t i = 0; i < traces.size(); ++i)
@@ -216,28 +217,28 @@ TEST(Trace, FixedDecoderObserverWorksToo) {
     dvbs2::core::DecoderConfig cfg;
     cfg.max_iterations = 10;
     cfg.early_stop = false;
-    dvbs2::core::FixedDecoder dec(toy_code(), cfg, dvbs2::quant::kQuant6);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg});
     int calls = 0;
-    dec.set_observer([&](const dvbs2::core::IterationTrace&) { ++calls; });
+    dec->set_observer([&](const dvbs2::core::IterationTrace&) { ++calls; });
     const dvbs2::enc::Encoder enc(toy_code());
     dvbs2::comm::AwgnModem modem(dvbs2::comm::Modulation::Bpsk, 2);
     const auto llr =
         modem.transmit_noiseless(enc.encode(dvbs2::enc::random_info_bits(toy_code().k(), 4)), 0.8);
-    dec.decode(llr);
+    dec->decode(llr);
     EXPECT_EQ(calls, 10);
 }
 
 TEST(Trace, DisablingObserverStopsCalls) {
     dvbs2::core::DecoderConfig cfg;
     cfg.max_iterations = 5;
-    dvbs2::core::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
     int calls = 0;
-    dec.set_observer([&](const dvbs2::core::IterationTrace&) { ++calls; });
-    dec.set_observer({});
+    dec->set_observer([&](const dvbs2::core::IterationTrace&) { ++calls; });
+    dec->set_observer({});
     const dvbs2::enc::Encoder enc(toy_code());
     dvbs2::comm::AwgnModem modem(dvbs2::comm::Modulation::Bpsk, 2);
     const auto llr =
         modem.transmit_noiseless(enc.encode(dvbs2::enc::random_info_bits(toy_code().k(), 4)), 0.8);
-    dec.decode(llr);
+    dec->decode(llr);
     EXPECT_EQ(calls, 0);
 }

@@ -7,6 +7,7 @@
 #include "comm/ber.hpp"
 #include "comm/capacity.hpp"
 #include "comm/modem.hpp"
+#include "fake_engine.hpp"
 #include "util/math.hpp"
 #include "util/stats.hpp"
 
@@ -115,14 +116,11 @@ namespace {
 
 /// A fake decoder that just hardens the channel LLRs (no iterations): BER of
 /// uncoded BPSK, which has a closed form Q(sqrt(2·R·Eb/N0·...)).
-dm::DecodeOutcome harden_channel(const std::vector<double>& llr, int k) {
-    dm::DecodeOutcome out;
-    out.info_bits = BitVec(static_cast<std::size_t>(k));
-    for (int v = 0; v < k; ++v)
-        if (llr[static_cast<std::size_t>(v)] < 0) out.info_bits.set(static_cast<std::size_t>(v), true);
-    out.converged = false;
-    out.iterations = 0;
-    return out;
+dm::EngineFactory harden_channel(int k) {
+    return dvbs2::test::fn_factory(
+        [k](std::span<const double> llr, dvbs2::core::DecodeResult& out) {
+            dvbs2::test::hard_decision(llr, k, out);
+        });
 }
 
 }  // namespace
@@ -134,9 +132,7 @@ TEST(BerHarness, UncodedDecisionMatchesQFunction) {
     cfg.limits.target_bit_errors = 100000;  // disable early stop
     cfg.limits.target_frame_errors = 100000;
     const double ebn0 = 4.0;
-    const auto pt = dm::simulate_point(
-        code, [&](const std::vector<double>& llr) { return harden_channel(llr, code.k()); },
-        ebn0, cfg);
+    const auto pt = dm::simulate_point(code, harden_channel(code.k()), ebn0, cfg);
     // Channel-bit error rate of BPSK at Es/N0 = R·Eb/N0.
     const double sigma = dm::noise_sigma(ebn0, code.params().rate(), dm::Modulation::Bpsk);
     const double expect_ber = dvbs2::util::q_function(1.0 / sigma);
@@ -151,9 +147,7 @@ TEST(BerHarness, EarlyStopRespectsMinimums) {
     cfg.limits.min_frames = 17;
     cfg.limits.target_bit_errors = 1;
     cfg.limits.target_frame_errors = 1;
-    const auto pt = dm::simulate_point(
-        code, [&](const std::vector<double>& llr) { return harden_channel(llr, code.k()); }, 0.0,
-        cfg);
+    const auto pt = dm::simulate_point(code, harden_channel(code.k()), 0.0, cfg);
     EXPECT_GE(pt.frames, 17u);  // min_frames honored even with errors present
 }
 
@@ -164,9 +158,7 @@ TEST(BerHarness, SweepReturnsOnePointPerSnr)
     cfg.limits.max_frames = 5;
     cfg.limits.min_frames = 1;
     const std::vector<double> snrs = {0.0, 1.0, 2.0};
-    const auto pts = dm::simulate_sweep(
-        code, [&](const std::vector<double>& llr) { return harden_channel(llr, code.k()); },
-        snrs, cfg);
+    const auto pts = dm::simulate_sweep(code, harden_channel(code.k()), snrs, cfg);
     ASSERT_EQ(pts.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(pts[i].ebn0_db, snrs[i]);
 }
@@ -175,7 +167,7 @@ TEST(BerHarness, PointIsDeterministic) {
     const dc::Dvbs2Code code(dc::toy_params(12, 7, 2, 6, 3));
     dm::SimConfig cfg;
     cfg.limits.max_frames = 20;
-    auto dec = [&](const std::vector<double>& llr) { return harden_channel(llr, code.k()); };
+    const auto dec = harden_channel(code.k());
     const auto a = dm::simulate_point(code, dec, 2.0, cfg);
     const auto b = dm::simulate_point(code, dec, 2.0, cfg);
     EXPECT_EQ(a.bit_errors, b.bit_errors);

@@ -9,7 +9,7 @@
 #include "comm/capacity.hpp"
 #include "comm/density_evolution.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 #include "util/math.hpp"
 #include "util/stats.hpp"
@@ -90,8 +90,8 @@ TEST(Psk8, EndToEndLdpcDecodeAtHighSnr) {
     dm::AwgnModem modem(dm::Modulation::Psk8, 9);
     const double sigma = dm::noise_sigma(9.0, code.params().rate(), dm::Modulation::Psk8);
     const auto llr = modem.transmit(enc.encode(info), sigma);
-    dvbs2::core::Decoder dec(code, dvbs2::core::DecoderConfig{});
-    const auto res = dec.decode(llr);
+    const auto dec = dvbs2::core::make_engine(code, {dvbs2::core::Arithmetic::Float, {}});
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
 }
@@ -229,8 +229,8 @@ TEST(Interleaver, EndToEnd8PskWithInterleaving) {
     dm::AwgnModem modem(dm::Modulation::Psk8, 21);
     const double sigma = dm::noise_sigma(9.0, code.params().rate(), dm::Modulation::Psk8);
     const auto llr = il.deinterleave(modem.transmit(tx, sigma));
-    dvbs2::core::Decoder dec(code, dvbs2::core::DecoderConfig{});
-    const auto res = dec.decode(llr);
+    const auto dec = dvbs2::core::make_engine(code, {dvbs2::core::Arithmetic::Float, {}});
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
 }

@@ -8,13 +8,13 @@
 #include "code/tanner.hpp"
 #include "comm/ber.hpp"
 #include "comm/modem.hpp"
-#include "comm/parallel.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
+#include "fake_engine.hpp"
 
 namespace dc = dvbs2::code;
 namespace dm = dvbs2::comm;
 namespace dd = dvbs2::core;
-using dvbs2::util::BitVec;
+namespace dt = dvbs2::test;
 
 namespace {
 
@@ -23,11 +23,9 @@ const dc::Dvbs2Code& toy_code() {
     return code;
 }
 
-dm::DecodeFn make_decoder_fn(dd::Decoder& dec) {
-    return [&dec](const std::vector<double>& llr) {
-        const auto r = dec.decode(llr);
-        return dm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-    };
+/// Float BP engines with `cfg`, one per worker.
+dm::EngineFactory bp_factory(const dd::DecoderConfig& cfg) {
+    return dm::engine_factory(toy_code(), dd::EngineSpec{dd::Arithmetic::Float, cfg});
 }
 
 }  // namespace
@@ -35,34 +33,33 @@ dm::DecodeFn make_decoder_fn(dd::Decoder& dec) {
 TEST(Threshold, FindsAPointWhereBerDropsBelowTarget) {
     dd::DecoderConfig cfg;
     cfg.max_iterations = 30;
-    dd::Decoder dec(toy_code(), cfg);
     dm::SimConfig sim;
     sim.limits.max_frames = 200;
     sim.limits.min_frames = 50;
     sim.limits.target_bit_errors = 50;
     sim.limits.target_frame_errors = 10;
     const std::optional<double> th =
-        dm::find_threshold_db(toy_code(), make_decoder_fn(dec), 1e-3, 2.0, 1.0, sim, 12.0);
+        dm::find_threshold_db(toy_code(), bp_factory(cfg), 1e-3, 2.0, 1.0, sim, 12.0);
     // A toy (144,60) code decodes reliably somewhere in 4..10 dB.
     ASSERT_TRUE(th.has_value());
     EXPECT_GT(*th, 2.0);
     EXPECT_LT(*th, 12.0);
     // Verify the found point really meets the target.
-    const auto pt = dm::simulate_point(toy_code(), make_decoder_fn(dec), *th, sim);
+    const auto pt = dm::simulate_point(toy_code(), bp_factory(cfg), *th, sim);
     EXPECT_LT(pt.ber(static_cast<std::uint64_t>(toy_code().k())), 1e-3);
 }
 
 namespace {
 
 /// A decoder that always fails, so no scan point ever meets a BER target.
-dm::DecodeFn broken_decoder() {
-    return [](const std::vector<double>&) {
-        dm::DecodeOutcome out;
-        out.info_bits = BitVec(static_cast<std::size_t>(toy_code().k()));
+dm::EngineFactory broken_decoder() {
+    return dt::fn_factory([](std::span<const double>, dd::DecodeResult& out) {
+        out.info_bits = dvbs2::util::BitVec(static_cast<std::size_t>(toy_code().k()));
         for (int i = 0; i < toy_code().k(); ++i)
             out.info_bits.set(static_cast<std::size_t>(i), true);  // all wrong half the time
-        return out;
-    };
+        out.converged = false;
+        out.iterations = 0;
+    });
 }
 
 }  // namespace
@@ -73,6 +70,7 @@ TEST(Threshold, NotFoundIsDistinguishableFromThresholdAtMax) {
     dm::SimConfig sim;
     sim.limits.max_frames = 3;
     sim.limits.min_frames = 1;
+    sim.threads = 1;
     const std::optional<double> th =
         dm::find_threshold_db(toy_code(), broken_decoder(), 1e-6, 0.0, 2.0, sim, 6.0);
     EXPECT_FALSE(th.has_value());
@@ -83,9 +81,8 @@ TEST(Threshold, ParallelNotFoundIsDistinguishable) {
     sim.limits.max_frames = 3;
     sim.limits.min_frames = 1;
     sim.threads = 2;
-    const dm::DecodeFactory factory = [](unsigned) { return broken_decoder(); };
     const std::optional<double> th =
-        dm::find_threshold_db_parallel(toy_code(), factory, 1e-6, 0.0, 2.0, sim, 6.0);
+        dm::find_threshold_db(toy_code(), broken_decoder(), 1e-6, 0.0, 2.0, sim, 6.0);
     EXPECT_FALSE(th.has_value());
 }
 
@@ -110,27 +107,20 @@ TEST(Threshold, ScanPointsDoNotAccumulateDrift) {
 }
 
 TEST(Threshold, RejectsNonPositiveStep) {
-    dd::DecoderConfig cfg;
-    dd::Decoder dec(toy_code(), cfg);
     dm::SimConfig sim;
-    EXPECT_THROW(
-        dm::find_threshold_db(toy_code(), make_decoder_fn(dec), 1e-3, 0.0, 0.0, sim, 5.0),
-        std::runtime_error);
+    EXPECT_THROW(dm::find_threshold_db(toy_code(), bp_factory({}), 1e-3, 0.0, 0.0, sim, 5.0),
+                 std::runtime_error);
 }
 
 TEST(UndetectedErrors, ConvergedWrongWordIsCounted) {
     // A malicious decoder that always claims convergence with flipped bits:
     // every frame is an undetected error.
-    dm::DecodeFn liar = [&](const std::vector<double>& llr) {
-        dm::DecodeOutcome out;
-        out.info_bits = BitVec(static_cast<std::size_t>(toy_code().k()));
-        for (int i = 0; i < toy_code().k(); ++i)
-            if (llr[static_cast<std::size_t>(i)] >= 0)  // inverted decision
-                out.info_bits.set(static_cast<std::size_t>(i), true);
-        out.converged = true;
-        out.iterations = 1;
-        return out;
-    };
+    const dm::EngineFactory liar =
+        dt::fn_factory([](std::span<const double> llr, dd::DecodeResult& out) {
+            dt::hard_decision(llr, toy_code().k(), out, /*invert=*/true);
+            out.converged = true;
+            out.iterations = 1;
+        });
     dm::SimConfig sim;
     sim.limits.max_frames = 5;
     sim.limits.min_frames = 5;
@@ -142,13 +132,11 @@ TEST(UndetectedErrors, ConvergedWrongWordIsCounted) {
 }
 
 TEST(UndetectedErrors, HonestDecoderReportsZeroAtHighSnr) {
-    dd::DecoderConfig cfg;
-    dd::Decoder dec(toy_code(), cfg);
     dm::SimConfig sim;
     sim.limits.max_frames = 20;
     sim.limits.min_frames = 20;
     sim.limits.target_bit_errors = ~0ULL;
     sim.limits.target_frame_errors = ~0ULL;
-    const auto pt = dm::simulate_point(toy_code(), make_decoder_fn(dec), 9.0, sim);
+    const auto pt = dm::simulate_point(toy_code(), bp_factory({}), 9.0, sim);
     EXPECT_EQ(pt.undetected_frame_errors, 0u);
 }

@@ -10,10 +10,11 @@
 #include "code/tanner.hpp"
 #include "comm/constellation.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 
 namespace dc = dvbs2::code;
+namespace dd = dvbs2::core;
 namespace dm = dvbs2::comm;
 using dvbs2::util::BitVec;
 
@@ -146,8 +147,8 @@ TEST(Apsk16, EndToEndLdpcDecode) {
     const double esn0_db = 16.0;
     const double sigma = std::sqrt(1.0 / (2.0 * std::pow(10.0, esn0_db / 10.0)));
     const auto llr = dm::transmit_constellation(c, enc.encode(info), sigma, rng);
-    dvbs2::core::Decoder dec(code, dvbs2::core::DecoderConfig{});
-    const auto res = dec.decode(llr);
+    const auto dec = dd::make_engine(code, {dd::Arithmetic::Float, {}});
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
 }
@@ -164,8 +165,8 @@ TEST(Apsk32, EndToEndLdpcDecode) {
     const double esn0_db = 21.0;
     const double sigma = std::sqrt(1.0 / (2.0 * std::pow(10.0, esn0_db / 10.0)));
     const auto llr = dm::transmit_constellation(c, enc.encode(info), sigma, rng);
-    dvbs2::core::Decoder dec(code, dvbs2::core::DecoderConfig{});
-    const auto res = dec.decode(llr);
+    const auto dec = dd::make_engine(code, {dd::Arithmetic::Float, {}});
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
 }

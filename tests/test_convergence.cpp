@@ -25,7 +25,7 @@
 #include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
-#include "comm/parallel.hpp"
+#include "comm/ber.hpp"
 #include "core/engine.hpp"
 #include "core/simd/batch_decoder.hpp"
 #include "core/simd/simd_decoder.hpp"
@@ -570,7 +570,7 @@ TEST(MonteCarloConvergence, HistogramConsistentWithPointCounts) {
     const auto spec =
         spec_of(dd::DecoderBackend::Simd, dd::Schedule::Layered,
                 /*iters=*/12);
-    const auto pt = dm::simulate_point_engine(code, spec, 2.0, cfg);
+    const auto pt = dm::simulate_point(code, dm::engine_factory(code, spec), 2.0, cfg);
     EXPECT_EQ(pt.convergence.frames, pt.frames);
     std::uint64_t hist_sum = 0, iter_sum = 0;
     for (std::size_t i = 0; i < pt.convergence.histogram.size(); ++i) {
@@ -595,42 +595,15 @@ TEST(MonteCarloConvergence, HistogramThreadCountInvariant) {
     cfg.limits.target_frame_errors = 8;
 
     cfg.threads = 1;
-    const auto serial = dm::simulate_point_engine(code, spec, 1.5, cfg);
+    const auto serial = dm::simulate_point(code, dm::engine_factory(code, spec), 1.5, cfg);
     cfg.threads = 3;
-    const auto parallel = dm::simulate_point_engine(code, spec, 1.5, cfg);
+    const auto parallel = dm::simulate_point(code, dm::engine_factory(code, spec), 1.5, cfg);
 
     EXPECT_EQ(serial.frames, parallel.frames);
     EXPECT_EQ(serial.convergence.frames, parallel.convergence.frames);
     EXPECT_EQ(serial.convergence.converged_frames, parallel.convergence.converged_frames);
     EXPECT_EQ(serial.convergence.iteration_sum, parallel.convergence.iteration_sum);
     EXPECT_EQ(serial.convergence.histogram, parallel.convergence.histogram);
-}
-
-TEST(MonteCarloConvergence, EngineAndDecodeFnPathsAgree) {
-    const auto& code = toy_code();
-    const auto spec = spec_of(dd::DecoderBackend::Scalar, dd::Schedule::TwoPhase, /*iters=*/10);
-    dm::SimConfig cfg;
-    cfg.seed = 5;
-    cfg.threads = 1;
-    cfg.limits.max_frames = 48;
-    cfg.limits.min_frames = 8;
-    cfg.limits.target_bit_errors = 40;
-    cfg.limits.target_frame_errors = 6;
-
-    const auto via_engine = dm::simulate_point_engine(code, spec, 1.5, cfg);
-    const auto eng = dd::make_engine(code, spec);
-    const auto via_fn = dm::simulate_point(
-        code,
-        [&eng](const std::vector<double>& llr) {
-            const auto r = eng->decode(llr);
-            return dm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        },
-        1.5, cfg);
-
-    EXPECT_EQ(via_engine.frames, via_fn.frames);
-    EXPECT_EQ(via_engine.bit_errors, via_fn.bit_errors);
-    EXPECT_EQ(via_engine.convergence.histogram, via_fn.convergence.histogram);
-    EXPECT_EQ(via_engine.convergence.converged_frames, via_fn.convergence.converged_frames);
 }
 
 // Golden pins: iteration histogram, mean iterations and convergence counts
@@ -659,7 +632,7 @@ TEST(MonteCarloConvergence, GoldenIterationHistogramsArePinned) {
         cfg.limits.min_frames = 24;
         cfg.limits.target_bit_errors = 1;
         cfg.limits.target_frame_errors = 1;
-        const auto pt = dm::simulate_point_engine(code, spec, pin.ebn0_db, cfg);
+        const auto pt = dm::simulate_point(code, dm::engine_factory(code, spec), pin.ebn0_db, cfg);
 
         std::vector<std::uint64_t> hist = pt.convergence.histogram;
         while (!hist.empty() && hist.back() == 0) hist.pop_back();

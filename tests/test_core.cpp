@@ -11,7 +11,7 @@
 #include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 
 namespace dc = dvbs2::code;
@@ -51,7 +51,7 @@ TEST_P(ScheduleRuleTest, FloatDecodesCleanChannel) {
     cfg.schedule = schedule;
     cfg.rule = rule;
     cfg.max_iterations = 20;
-    dd::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
 
     const dvbs2::enc::Encoder enc(toy_code());
     const BitVec info = dvbs2::enc::random_info_bits(toy_code().k(), 3);
@@ -59,7 +59,7 @@ TEST_P(ScheduleRuleTest, FloatDecodesCleanChannel) {
     dm::AwgnModem modem(dm::Modulation::Bpsk, 1);
     const auto llr = modem.transmit_noiseless(cw, 0.7);
 
-    const auto res = dec.decode(llr);
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
     EXPECT_LE(res.iterations, 3);
@@ -71,12 +71,12 @@ TEST_P(ScheduleRuleTest, FloatDecodesModerateNoise) {
     cfg.schedule = schedule;
     cfg.rule = rule;
     cfg.max_iterations = 50;
-    dd::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
 
     int successes = 0;
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
         const auto [info, llr] = make_instance(toy_code(), 6.0, seed);
-        const auto res = dec.decode(llr);
+        const auto res = dec->decode(llr);
         if (res.converged && res.info_bits == info) ++successes;
     }
     // A short toy code at 6 dB should decode nearly always.
@@ -89,7 +89,7 @@ TEST_P(ScheduleRuleTest, FixedDecodesCleanChannel) {
     cfg.schedule = schedule;
     cfg.rule = rule;
     cfg.max_iterations = 20;
-    dd::FixedDecoder dec(toy_code(), cfg, dq::kQuant6);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
 
     const dvbs2::enc::Encoder enc(toy_code());
     const BitVec info = dvbs2::enc::random_info_bits(toy_code().k(), 4);
@@ -97,7 +97,7 @@ TEST_P(ScheduleRuleTest, FixedDecodesCleanChannel) {
     dm::AwgnModem modem(dm::Modulation::Bpsk, 2);
     const auto llr = modem.transmit_noiseless(cw, 0.7);
 
-    const auto res = dec.decode(llr);
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
 }
@@ -124,9 +124,9 @@ TEST(Decoder, EarlyStopReportsFewerIterations) {
     dd::DecoderConfig cfg;
     cfg.max_iterations = 40;
     cfg.early_stop = true;
-    dd::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
     const auto [info, llr] = make_instance(toy_code(), 8.0, 1);
-    const auto res = dec.decode(llr);
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_LT(res.iterations, 40);
 }
@@ -135,9 +135,9 @@ TEST(Decoder, NoEarlyStopRunsAllIterations) {
     dd::DecoderConfig cfg;
     cfg.max_iterations = 12;
     cfg.early_stop = false;
-    dd::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
     const auto [info, llr] = make_instance(toy_code(), 8.0, 1);
-    const auto res = dec.decode(llr);
+    const auto res = dec->decode(llr);
     EXPECT_EQ(res.iterations, 12);
     EXPECT_TRUE(res.converged);  // final syndrome check still reported
 }
@@ -145,9 +145,9 @@ TEST(Decoder, NoEarlyStopRunsAllIterations) {
 TEST(Decoder, ZeroIterationsHardensChannel) {
     dd::DecoderConfig cfg;
     cfg.max_iterations = 0;
-    dd::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
     const auto [info, llr] = make_instance(toy_code(), 10.0, 2);
-    const auto res = dec.decode(llr);
+    const auto res = dec->decode(llr);
     EXPECT_EQ(res.iterations, 0);
     EXPECT_FALSE(res.converged);
     EXPECT_EQ(res.info_bits.size(), static_cast<std::size_t>(toy_code().k()));
@@ -155,10 +155,10 @@ TEST(Decoder, ZeroIterationsHardensChannel) {
 
 TEST(Decoder, ConvergedWordIsACodeword) {
     dd::DecoderConfig cfg;
-    dd::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
         const auto [info, llr] = make_instance(toy_code(), 5.0, seed);
-        const auto res = dec.decode(llr);
+        const auto res = dec->decode(llr);
         if (res.converged) {
             EXPECT_TRUE(toy_code().is_codeword(res.codeword));
         }
@@ -166,8 +166,8 @@ TEST(Decoder, ConvergedWordIsACodeword) {
 }
 
 TEST(Decoder, RejectsWrongLlrLength) {
-    dd::Decoder dec(toy_code(), dd::DecoderConfig{});
-    EXPECT_THROW(dec.decode(std::vector<double>(7)), std::runtime_error);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, dd::DecoderConfig{}});
+    EXPECT_THROW(dec->decode(std::vector<double>(7)), std::runtime_error);
 }
 
 TEST(Decoder, ZigzagForwardBeatsTwoPhasePerIteration) {
@@ -180,13 +180,13 @@ TEST(Decoder, ZigzagForwardBeatsTwoPhasePerIteration) {
     dd::DecoderConfig tp;
     tp.schedule = dd::Schedule::TwoPhase;
     tp.max_iterations = 4;
-    dd::Decoder dec_zz(toy_code(), zz);
-    dd::Decoder dec_tp(toy_code(), tp);
+    const auto dec_zz = dd::make_engine(toy_code(), {dd::Arithmetic::Float, zz});
+    const auto dec_tp = dd::make_engine(toy_code(), {dd::Arithmetic::Float, tp});
     int ok_zz = 0, ok_tp = 0;
     for (std::uint64_t seed = 0; seed < 60; ++seed) {
         const auto [info, llr] = make_instance(toy_code(), 5.0, seed);
-        if (auto r = dec_zz.decode(llr); r.converged && r.info_bits == info) ++ok_zz;
-        if (auto r = dec_tp.decode(llr); r.converged && r.info_bits == info) ++ok_tp;
+        if (auto r = dec_zz->decode(llr); r.converged && r.info_bits == info) ++ok_zz;
+        if (auto r = dec_tp->decode(llr); r.converged && r.info_bits == info) ++ok_tp;
     }
     EXPECT_GE(ok_zz, ok_tp);
 }
@@ -201,39 +201,40 @@ TEST(Decoder, SegmentedMatchesIdealForwardWhenQIsWholeChain) {
     a.max_iterations = 5;
     dd::DecoderConfig b = a;
     b.schedule = dd::Schedule::ZigzagSegmented;
-    dd::Decoder da(toy_code(), a);
-    dd::Decoder db(toy_code(), b);
+    const auto da = dd::make_engine(toy_code(), {dd::Arithmetic::Float, a});
+    const auto db = dd::make_engine(toy_code(), {dd::Arithmetic::Float, b});
     const dvbs2::enc::Encoder enc(toy_code());
     const BitVec info = dvbs2::enc::random_info_bits(toy_code().k(), 11);
     dm::AwgnModem modem(dm::Modulation::Bpsk, 3);
     const auto llr = modem.transmit_noiseless(enc.encode(info), 0.7);
-    const auto ra = da.decode(llr);
-    const auto rb = db.decode(llr);
+    const auto ra = da->decode(llr);
+    const auto rb = db->decode(llr);
     EXPECT_EQ(ra.info_bits, info);
     EXPECT_EQ(rb.info_bits, info);
 }
 
 TEST(FixedDecoder, DecodeRawMatchesDecodeOfDequantized) {
     dd::DecoderConfig cfg;
-    dd::FixedDecoder dec(toy_code(), cfg, dq::kQuant6);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
     const auto [info, llr] = make_instance(toy_code(), 6.0, 5);
     std::vector<dq::QLLR> raw(llr.size());
     for (std::size_t i = 0; i < llr.size(); ++i) raw[i] = dq::quantize(llr[i], dq::kQuant6);
-    dd::FixedDecoder dec2(toy_code(), cfg, dq::kQuant6);
-    const auto a = dec.decode(llr);
-    const auto b = dec2.decode_raw(raw);
+    const auto dec2 = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
+    const auto a = dec->decode(llr);
+    dd::DecodeResult b;
+    dec2->decode_raw_into(raw, b);
     EXPECT_EQ(a.info_bits, b.info_bits);
     EXPECT_EQ(a.iterations, b.iterations);
 }
 
 TEST(FixedDecoder, FiveBitStillDecodesCleanChannel) {
     dd::DecoderConfig cfg;
-    dd::FixedDecoder dec(toy_code(), cfg, dq::kQuant5);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant5});
     const dvbs2::enc::Encoder enc(toy_code());
     const BitVec info = dvbs2::enc::random_info_bits(toy_code().k(), 8);
     dm::AwgnModem modem(dm::Modulation::Bpsk, 4);
     const auto llr = modem.transmit_noiseless(enc.encode(info), 0.8);
-    const auto res = dec.decode(llr);
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
 }
@@ -243,19 +244,19 @@ TEST(FixedDecoder, CnOrderPermutationKeepsDecodingCorrect) {
     // the paper exploits for conflict scheduling); messages may differ at
     // saturation but the clean-channel result must be identical.
     dd::DecoderConfig cfg;
-    dd::FixedDecoder dec(toy_code(), cfg, dq::kQuant6);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
     const int kc = toy_code().check_in_degree();
     std::vector<int> order(static_cast<std::size_t>(toy_code().e_in()));
     for (int c = 0; c < toy_code().m(); ++c)
         for (int t = 0; t < kc; ++t)
             order[static_cast<std::size_t>(c) * kc + static_cast<std::size_t>(t)] =
                 kc - 1 - t;  // reversed order
-    dec.set_cn_order(order);
+    dec->set_cn_order(order);
     const dvbs2::enc::Encoder enc(toy_code());
     const BitVec info = dvbs2::enc::random_info_bits(toy_code().k(), 8);
     dm::AwgnModem modem(dm::Modulation::Bpsk, 4);
     const auto llr = modem.transmit_noiseless(enc.encode(info), 0.8);
-    const auto res = dec.decode(llr);
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
 }
@@ -269,9 +270,9 @@ TEST(Decoder, FullSizeRateHalfDecodesAtTwoDb) {
     dd::DecoderConfig cfg;
     cfg.schedule = dd::Schedule::ZigzagForward;
     cfg.max_iterations = 30;
-    dd::Decoder dec(code, cfg);
+    const auto dec = dd::make_engine(code, {dd::Arithmetic::Float, cfg});
     const auto [info, llr] = make_instance(code, 2.0, 1);
-    const auto res = dec.decode(llr);
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
     EXPECT_LT(res.iterations, 30);
@@ -282,9 +283,9 @@ TEST(FixedDecoder, FullSizeRateHalfSixBitDecodesAtTwoDb) {
     dd::DecoderConfig cfg;
     cfg.schedule = dd::Schedule::ZigzagSegmented;
     cfg.max_iterations = 30;
-    dd::FixedDecoder dec(code, cfg, dq::kQuant6);
+    const auto dec = dd::make_engine(code, {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
     const auto [info, llr] = make_instance(code, 2.0, 2);
-    const auto res = dec.decode(llr);
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
 }
@@ -312,13 +313,13 @@ TEST_P(ObserverInvarianceTest, FloatResultIsBitIdenticalWithAndWithoutObserver) 
     // clean enough that some frames converge (exercising both outcomes).
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         const auto [info, llr] = make_instance(toy_code(), 2.5, seed);
-        dd::Decoder plain(toy_code(), cfg);
-        const auto base = plain.decode(llr);
+        const auto plain = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
+        const auto base = plain->decode(llr);
 
-        dd::Decoder traced(toy_code(), cfg);
+        const auto traced = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
         std::vector<dd::IterationTrace> traces;
-        traced.set_observer([&traces](const dd::IterationTrace& t) { traces.push_back(t); });
-        const auto obs = traced.decode(llr);
+        traced->set_observer([&traces](const dd::IterationTrace& t) { traces.push_back(t); });
+        const auto obs = traced->decode(llr);
 
         EXPECT_EQ(base.codeword, obs.codeword) << "seed " << seed;
         EXPECT_EQ(base.info_bits, obs.info_bits) << "seed " << seed;
@@ -326,8 +327,8 @@ TEST_P(ObserverInvarianceTest, FloatResultIsBitIdenticalWithAndWithoutObserver) 
         EXPECT_EQ(base.iterations, obs.iterations) << "seed " << seed;
         EXPECT_EQ(static_cast<int>(traces.size()), obs.iterations) << "seed " << seed;
         // Detaching the observer restores the untraced fast path.
-        traced.set_observer({});
-        const auto detached = traced.decode(llr);
+        traced->set_observer({});
+        const auto detached = traced->decode(llr);
         EXPECT_EQ(detached.codeword, base.codeword) << "seed " << seed;
         EXPECT_EQ(detached.iterations, base.iterations) << "seed " << seed;
     }
@@ -341,13 +342,13 @@ TEST_P(ObserverInvarianceTest, FixedResultIsBitIdenticalWithAndWithoutObserver) 
     cfg.max_iterations = 15;
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         const auto [info, llr] = make_instance(toy_code(), 2.5, seed);
-        dd::FixedDecoder plain(toy_code(), cfg, dq::kQuant6);
-        const auto base = plain.decode(llr);
+        const auto plain = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
+        const auto base = plain->decode(llr);
 
-        dd::FixedDecoder traced(toy_code(), cfg, dq::kQuant6);
+        const auto traced = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
         std::vector<dd::IterationTrace> traces;
-        traced.set_observer([&traces](const dd::IterationTrace& t) { traces.push_back(t); });
-        const auto obs = traced.decode(llr);
+        traced->set_observer([&traces](const dd::IterationTrace& t) { traces.push_back(t); });
+        const auto obs = traced->decode(llr);
 
         EXPECT_EQ(base.codeword, obs.codeword) << "seed " << seed;
         EXPECT_EQ(base.info_bits, obs.info_bits) << "seed " << seed;

@@ -6,7 +6,7 @@
 #include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 #include "util/prng.hpp"
 
@@ -45,7 +45,7 @@ TEST_P(SymmetrySchedules, CodewordShiftInvariance) {
     dd::DecoderConfig cfg;
     cfg.schedule = GetParam();
     cfg.max_iterations = 25;
-    dd::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
 
     const dvbs2::enc::Encoder enc(toy_code());
     const BitVec cw = enc.encode(dvbs2::enc::random_info_bits(toy_code().k(), 7));
@@ -59,8 +59,8 @@ TEST_P(SymmetrySchedules, CodewordShiftInvariance) {
     for (std::size_t i = 0; i < llr0.size(); ++i)
         llr_c[i] = cw.get(i) ? -llr0[i] : llr0[i];
 
-    const auto r0 = dec.decode(llr0);
-    const auto rc = dec.decode(llr_c);
+    const auto r0 = dec->decode(llr0);
+    const auto rc = dec->decode(llr_c);
     ASSERT_TRUE(r0.converged);
     ASSERT_TRUE(rc.converged);
     EXPECT_EQ(rc.codeword, r0.codeword ^ cw);
@@ -75,18 +75,19 @@ TEST_P(SymmetrySchedules, GlobalSignFlipDecodesComplementPattern) {
     cfg.schedule = GetParam();
     cfg.max_iterations = 10;
     cfg.early_stop = false;
-    dd::Decoder a(toy_code(), cfg);
-    dd::Decoder b(toy_code(), cfg);
+    const auto a = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
+    const auto b = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
     const auto llr = random_llrs(toy_code().n(), 11, 1.5);
     std::vector<double> scaled(llr.size());
     for (std::size_t i = 0; i < llr.size(); ++i) scaled[i] = 1.7 * llr[i];
-    const auto ra = a.decode(llr);
-    const auto rb = b.decode(scaled);
+    const auto ra = a->decode(llr);
+    const auto rb = b->decode(scaled);
     // Exact boxplus is NOT scale-invariant in general; but min-sum is.
     dd::DecoderConfig ms = cfg;
     ms.rule = dd::CheckRule::MinSum;
-    dd::Decoder ams(toy_code(), ms), bms(toy_code(), ms);
-    EXPECT_EQ(ams.decode(llr).codeword, bms.decode(scaled).codeword);
+    const auto ams = dd::make_engine(toy_code(), {dd::Arithmetic::Float, ms});
+    const auto bms = dd::make_engine(toy_code(), {dd::Arithmetic::Float, ms});
+    EXPECT_EQ(ams->decode(llr).codeword, bms->decode(scaled).codeword);
     // For the exact rule we only require agreement of the (strongly
     // determined) converged case.
     if (ra.converged && rb.converged) {
@@ -107,11 +108,11 @@ INSTANTIATE_TEST_SUITE_P(Schedules, SymmetrySchedules,
 
 TEST(DecoderProperties, FixedDecoderIsDeterministic) {
     dd::DecoderConfig cfg;
-    dd::FixedDecoder a(toy_code(), cfg, dq::kQuant6);
-    dd::FixedDecoder b(toy_code(), cfg, dq::kQuant6);
+    const auto a = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
+    const auto b = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
     const auto llr = random_llrs(toy_code().n(), 3, 3.0);
-    const auto ra = a.decode(llr);
-    const auto rb = b.decode(llr);
+    const auto ra = a->decode(llr);
+    const auto rb = b->decode(llr);
     EXPECT_EQ(ra.codeword, rb.codeword);
     EXPECT_EQ(ra.iterations, rb.iterations);
 }
@@ -120,12 +121,12 @@ TEST(DecoderProperties, DecoderIsReusableAcrossFrames) {
     // State must fully reset between decodes: decoding A, then B, then A
     // again gives identical results for A.
     dd::DecoderConfig cfg;
-    dd::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
     const auto llr_a = random_llrs(toy_code().n(), 21, 3.0);
     const auto llr_b = random_llrs(toy_code().n(), 22, 3.0);
-    const auto first = dec.decode(llr_a);
-    dec.decode(llr_b);
-    const auto again = dec.decode(llr_a);
+    const auto first = dec->decode(llr_a);
+    dec->decode(llr_b);
+    const auto again = dec->decode(llr_a);
     EXPECT_EQ(first.codeword, again.codeword);
     EXPECT_EQ(first.iterations, again.iterations);
 }
@@ -137,12 +138,12 @@ TEST(DecoderProperties, StrongerChannelNeverHurtsCleanDecoding) {
     const BitVec info = dvbs2::enc::random_info_bits(toy_code().k(), 5);
     const BitVec cw = enc.encode(info);
     dd::DecoderConfig cfg;
-    dd::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
     int prev_iters = 1000;
     for (double sigma_gain : {1.2, 0.9, 0.6}) {
         dm::AwgnModem modem(dm::Modulation::Bpsk, 1);
         const auto llr = modem.transmit_noiseless(cw, sigma_gain);
-        const auto res = dec.decode(llr);
+        const auto res = dec->decode(llr);
         EXPECT_TRUE(res.converged);
         EXPECT_EQ(res.info_bits, info);
         EXPECT_LE(res.iterations, prev_iters);
@@ -156,9 +157,9 @@ TEST(DecoderProperties, AllZeroLlrsDoNotConverge) {
     // immediately. This documents the (correct) all-zero fixed point.
     dd::DecoderConfig cfg;
     cfg.max_iterations = 5;
-    dd::Decoder dec(toy_code(), cfg);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
     const std::vector<double> llr(static_cast<std::size_t>(toy_code().n()), 0.0);
-    const auto res = dec.decode(llr);
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_TRUE(res.codeword.none());
 }
@@ -168,8 +169,8 @@ TEST(DecoderProperties, FiveBitNeverBeatsSixBitOnAverage) {
     // produce at least as many successes as 5-bit (coarse sanity for the
     // E7 ordering at toy scale).
     dd::DecoderConfig cfg;
-    dd::FixedDecoder d6(toy_code(), cfg, dq::kQuant6);
-    dd::FixedDecoder d5(toy_code(), cfg, dq::kQuant5);
+    const auto d6 = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
+    const auto d5 = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant5});
     const dvbs2::enc::Encoder enc(toy_code());
     int ok6 = 0, ok5 = 0;
     for (std::uint64_t seed = 0; seed < 40; ++seed) {
@@ -178,8 +179,8 @@ TEST(DecoderProperties, FiveBitNeverBeatsSixBitOnAverage) {
         const double sigma =
             dm::noise_sigma(5.0, toy_code().params().rate(), dm::Modulation::Bpsk);
         const auto llr = modem.transmit(enc.encode(info), sigma);
-        if (auto r = d6.decode(llr); r.converged && r.info_bits == info) ++ok6;
-        if (auto r = d5.decode(llr); r.converged && r.info_bits == info) ++ok5;
+        if (auto r = d6->decode(llr); r.converged && r.info_bits == info) ++ok6;
+        if (auto r = d5->decode(llr); r.converged && r.info_bits == info) ++ok5;
     }
     EXPECT_GE(ok6 + 2, ok5);  // allow tiny statistical slack
 }
@@ -189,23 +190,23 @@ TEST(DecoderProperties, RunIterationsMatchesDecodePath) {
     // calls (stateless restart) — the contract the E10 comparisons rely on.
     dd::DecoderConfig cfg;
     cfg.schedule = dd::Schedule::ZigzagSegmented;
-    dd::FixedDecoder dec(toy_code(), cfg, dq::kQuant6);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
     std::vector<dq::QLLR> q(static_cast<std::size_t>(toy_code().n()));
     dvbs2::util::Xoshiro256pp rng(77);
     for (auto& v : q) v = static_cast<dq::QLLR>(rng.below(63)) - 31;
-    const auto a = dec.run_and_dump_c2v(q, 4);
-    const auto b = dec.run_and_dump_c2v(q, 4);
+    const auto a = dec->run_and_dump_c2v(q, 4);
+    const auto b = dec->run_and_dump_c2v(q, 4);
     EXPECT_EQ(a, b);
 }
 
 TEST(DecoderProperties, RejectsNonFiniteLlrs) {
     dd::DecoderConfig cfg;
-    dd::Decoder dec(toy_code(), cfg);
-    dd::FixedDecoder fdec(toy_code(), cfg, dq::kQuant6);
+    const auto dec = dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg});
+    const auto fdec = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg, dq::kQuant6});
     std::vector<double> llr(static_cast<std::size_t>(toy_code().n()), 1.0);
     llr[5] = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(dec.decode(llr), std::runtime_error);
-    EXPECT_THROW(fdec.decode(llr), std::runtime_error);
+    EXPECT_THROW(dec->decode(llr), std::runtime_error);
+    EXPECT_THROW(fdec->decode(llr), std::runtime_error);
     llr[5] = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(dec.decode(llr), std::runtime_error);
+    EXPECT_THROW(dec->decode(llr), std::runtime_error);
 }

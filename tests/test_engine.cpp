@@ -5,7 +5,7 @@
 //   * central validation — every illegal (arithmetic, backend, schedule,
 //     rule-parameter, quantizer) combination is rejected with a
 //     diagnostic naming the offending option, through make_engine AND the
-//     Decoder/FixedDecoder wrappers;
+//     Monte-Carlo harness's comm::engine_factory (before any point runs);
 //   * reuse ≡ fresh — a long-lived engine's workspace reuse never changes a
 //     result vs a freshly built engine;
 //   * cross-backend equivalence matrix — fixed-scalar vs the SIMD engine's
@@ -13,8 +13,9 @@
 //     frame-per-lane batches, on the toy code for every schedule, on a
 //     short and a long code for every entry point, and on all eleven
 //     standard rates;
-//   * Monte-Carlo tally equality — simulate_point_engine reproduces the
-//     DecodeFactory path's tallies bit for bit at any thread count;
+//   * Monte-Carlo tally equality — the harness's decode_batch path
+//     reproduces a per-frame decode_into reference's tallies bit for bit at
+//     any thread count;
 //   * span-mismatch diagnostics — decode_into/decode_batch reject wrong-size
 //     spans naming both actual sizes and the expected relation, identically
 //     on the scalar and SIMD backends.
@@ -30,12 +31,12 @@
 #include "code/params.hpp"
 #include "code/tanner.hpp"
 #include "comm/modem.hpp"
-#include "comm/parallel.hpp"
-#include "core/decoder.hpp"
+#include "comm/ber.hpp"
 #include "core/engine.hpp"
 #include "core/simd/batch_decoder.hpp"
 #include "core/simd/simd_decoder.hpp"
 #include "enc/encoder.hpp"
+#include "fake_engine.hpp"
 #include "quant/fixed.hpp"
 
 namespace dc = dvbs2::code;
@@ -224,19 +225,20 @@ TEST(EngineValidation, FixedEnginesRejectMalformedQuantSpec) {
     EXPECT_NO_THROW(dd::validate_engine_spec(spec));
 }
 
-TEST(EngineValidation, WrappersRouteThroughCentralValidation) {
-    dd::DecoderConfig cfg;
-    cfg.backend = dd::DecoderBackend::Simd;
-    // Decoder is float arithmetic: float+simd must be rejected.
-    expect_throws_mentioning([&] { dd::Decoder dec(toy_code(), cfg); }, {"fixed"},
-                             "Decoder wrapper float+simd");
-    // FixedDecoder with an out-of-range parameter for the active rule.
-    cfg.schedule = dd::Schedule::Layered;
-    cfg.rule = dd::CheckRule::NormalizedMinSum;
-    cfg.normalization = 1.5;
-    expect_throws_mentioning(
-        [&] { dd::FixedDecoder dec(toy_code(), cfg, dq::kQuant6); },
-        {"normalization"}, "FixedDecoder wrapper bad normalization");
+TEST(EngineValidation, EngineFactoryValidatesUpFront) {
+    // comm::engine_factory validates when it is built, so an illegal spec
+    // fails before any Monte-Carlo point runs, with make_engine's diagnostic.
+    dd::EngineSpec spec;
+    spec.arith = dd::Arithmetic::Float;
+    spec.config.backend = dd::DecoderBackend::Simd;
+    expect_throws_mentioning([&] { (void)dm::engine_factory(toy_code(), spec); }, {"fixed"},
+                             "engine_factory float+simd");
+    spec.arith = dd::Arithmetic::Fixed;
+    spec.config.schedule = dd::Schedule::Layered;
+    spec.config.rule = dd::CheckRule::NormalizedMinSum;
+    spec.config.normalization = 1.5;
+    expect_throws_mentioning([&] { (void)dm::engine_factory(toy_code(), spec); },
+                             {"normalization"}, "engine_factory bad normalization");
 }
 
 // ----------------------------------------------------- reuse and batching
@@ -598,7 +600,7 @@ TEST(EngineHooks, UnsupportedHooksThrow) {
 
 // ------------------------------------------------- Monte-Carlo equivalence
 
-TEST(EngineMonteCarlo, EngineTalliesMatchDecodeFactoryPath) {
+TEST(EngineMonteCarlo, EngineTalliesMatchPerFrameReference) {
     const dc::Dvbs2Code code(dc::standard_params(dc::CodeRate::R1_2, dc::FrameSize::Short));
     dd::DecoderConfig dcfg;
     dcfg.schedule = dd::Schedule::ZigzagSegmented;
@@ -612,35 +614,38 @@ TEST(EngineMonteCarlo, EngineTalliesMatchDecodeFactoryPath) {
     sim.limits.target_frame_errors = ~0ULL;
     const double ebn0 = 1.0;
 
-    dm::DecodeFactory factory = [&](unsigned) {
-        auto dec = std::make_shared<dd::FixedDecoder>(code, dcfg, dq::kQuant6);
-        return [dec](const std::vector<double>& llr) {
-            const auto r = dec->decode(llr);
-            return dm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        };
+    dd::EngineSpec spec;
+    spec.arith = dd::Arithmetic::Fixed;
+    spec.config = dcfg;
+    spec.quant = dq::kQuant6;
+
+    // Reference: every frame decoded on its own by decode_into of a
+    // fixed-scalar engine, behind a one-frame-per-call test engine.
+    const dm::EngineFactory per_frame = [&](unsigned) {
+        std::shared_ptr<dd::Engine> inner = dd::make_engine(code, spec);
+        return std::make_unique<dvbs2::test::FnEngine>(
+            [inner](std::span<const double> llr, dd::DecodeResult& out) {
+                inner->decode_into(llr, out);
+            });
     };
-    const auto ref = dm::simulate_point_parallel(code, factory, ebn0, sim);
+    const auto ref = dm::simulate_point(code, per_frame, ebn0, sim);
     ASSERT_EQ(ref.frames, 12u);
 
-    const auto check = [&](const dd::EngineSpec& spec, unsigned threads,
-                           const std::string& context) {
+    const auto check = [&](unsigned threads, const std::string& context) {
         dm::SimConfig cfg = sim;
         cfg.threads = threads;
-        const auto pt = dm::simulate_point_engine(code, spec, ebn0, cfg);
+        const auto pt = dm::simulate_point(code, dm::engine_factory(code, spec), ebn0, cfg);
         EXPECT_EQ(pt.frames, ref.frames) << context;
         EXPECT_EQ(pt.bit_errors, ref.bit_errors) << context;
         EXPECT_EQ(pt.frame_errors, ref.frame_errors) << context;
         EXPECT_EQ(pt.undetected_frame_errors, ref.undetected_frame_errors) << context;
         EXPECT_EQ(pt.avg_iterations, ref.avg_iterations) << context;
+        EXPECT_EQ(pt.convergence.histogram, ref.convergence.histogram) << context;
     };
-    dd::EngineSpec spec;
-    spec.arith = dd::Arithmetic::Fixed;
-    spec.config = dcfg;
-    spec.quant = dq::kQuant6;
-    check(spec, 1, "fixed-scalar x1");
-    check(spec, 3, "fixed-scalar x3");
+    check(1, "fixed-scalar x1");
+    check(3, "fixed-scalar x3");
     spec.config.backend = dd::DecoderBackend::Simd;
-    check(spec, 2, "fixed-simd x2");
+    check(2, "fixed-simd x2");
 }
 
 TEST(EngineMonteCarlo, SweepEngineMatchesPointCalls) {
@@ -655,10 +660,11 @@ TEST(EngineMonteCarlo, SweepEngineMatchesPointCalls) {
     sim.limits.max_frames = 10;
     sim.limits.min_frames = 10;
     const std::vector<double> points = {0.5, 1.5};
-    const auto sweep = dm::simulate_sweep_engine(code, spec, points, sim);
+    const auto factory = dm::engine_factory(code, spec);
+    const auto sweep = dm::simulate_sweep(code, factory, points, sim);
     ASSERT_EQ(sweep.size(), points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto pt = dm::simulate_point_engine(code, spec, points[i], sim);
+        const auto pt = dm::simulate_point(code, factory, points[i], sim);
         EXPECT_EQ(sweep[i].frames, pt.frames);
         EXPECT_EQ(sweep[i].bit_errors, pt.bit_errors);
         EXPECT_EQ(sweep[i].frame_errors, pt.frame_errors);

@@ -13,7 +13,7 @@
 #include "code/tables.hpp"
 #include "code/tanner.hpp"
 #include "comm/ber.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 
 namespace dc = dvbs2::code;
 
@@ -79,11 +79,12 @@ TEST(Golden, AllStandardLongFrameTablesArePinned) {
 TEST(Golden, SerialBerCountsArePinned) {
     namespace dm = dvbs2::comm;
     const dc::Dvbs2Code code(dc::toy_params(12, 7, 2, 6, 3));
-    dvbs2::core::DecoderConfig dcfg;
-    dcfg.max_iterations = 20;
-    dvbs2::core::Decoder dec(code, dcfg);
+    dvbs2::core::EngineSpec spec;
+    spec.arith = dvbs2::core::Arithmetic::Float;
+    spec.config.max_iterations = 20;
 
     dm::SimConfig cfg;
+    cfg.threads = 1;
     cfg.seed = 2024;
     cfg.limits.max_frames = 96;
     cfg.limits.min_frames = 16;
@@ -98,13 +99,7 @@ TEST(Golden, SerialBerCountsArePinned) {
 #include "golden_ber_pins.inc"
     };
     for (const auto& pin : pins) {
-        const auto pt = dm::simulate_point(
-            code,
-            [&dec](const std::vector<double>& llr) {
-                const auto r = dec.decode(llr);
-                return dm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-            },
-            pin.ebn0_db, cfg);
+        const auto pt = dm::simulate_point(code, dm::engine_factory(code, spec), pin.ebn0_db, cfg);
         const auto iter_sum =
             static_cast<std::uint64_t>(std::llround(pt.avg_iterations * pt.frames));
         EXPECT_EQ(pt.frames, pin.frames) << pin.ebn0_db << " dB";

@@ -17,7 +17,7 @@
 #include "comm/ber.hpp"
 #include "comm/capacity.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 
 namespace da = dvbs2::arch;
@@ -44,8 +44,8 @@ TEST_P(FullChainAllRates, EncodeTransmitDecodeAboveThreshold) {
 
     dd::DecoderConfig cfg;
     cfg.max_iterations = 30;
-    dd::FixedDecoder dec(code, cfg, dvbs2::quant::kQuant6);
-    const auto res = dec.decode(llr);
+    const auto dec = dd::make_engine(code, {dd::Arithmetic::Fixed, cfg, dvbs2::quant::kQuant6});
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged) << dc::to_string(GetParam()) << " @ " << ebn0 << " dB";
     EXPECT_EQ(res.info_bits, info);
 }
@@ -64,8 +64,8 @@ TEST_P(FullChainAllRates, ShortFrameChainWorksToo) {
     const auto llr = modem.transmit(enc.encode(info), sigma);
     dd::DecoderConfig scfg;
     scfg.max_iterations = 50;
-    dd::Decoder dec(code, scfg);
-    const auto res = dec.decode(llr);
+    const auto dec = dd::make_engine(code, {dd::Arithmetic::Float, scfg});
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged) << dc::to_string(GetParam());
     EXPECT_EQ(res.info_bits, info);
 }
@@ -167,8 +167,8 @@ TEST_P(ToyEnsemble, GenerateAuditEncodeDecodeRtl) {
     EXPECT_TRUE(code.is_codeword(cw));
     dm::AwgnModem modem(dm::Modulation::Bpsk, 23);
     const auto llr = modem.transmit_noiseless(cw, 0.8);
-    dd::FixedDecoder dec(code, dd::DecoderConfig{}, dvbs2::quant::kQuant6);
-    const auto res = dec.decode(llr);
+    const auto dec = dd::make_engine(code, {dd::Arithmetic::Fixed, {}});
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
 
@@ -178,14 +178,14 @@ TEST_P(ToyEnsemble, GenerateAuditEncodeDecodeRtl) {
     da::RtlDecoder rtl(code, map, rc);
     dd::DecoderConfig ref_cfg;
     ref_cfg.schedule = dd::Schedule::ZigzagSegmented;
-    dd::FixedDecoder ref(code, ref_cfg, rc.spec);
-    ref.set_cn_order(map.extract_cn_order());
+    const auto ref = dd::make_engine(code, {dd::Arithmetic::Fixed, ref_cfg, rc.spec});
+    ref->set_cn_order(map.extract_cn_order());
     std::vector<dvbs2::quant::QLLR> ch(llr.size());
     dm::AwgnModem noisy(dm::Modulation::Bpsk, 31);
     const auto nl = noisy.transmit(cw, 0.9);
     for (std::size_t i = 0; i < nl.size(); ++i) ch[i] = dvbs2::quant::quantize(nl[i], rc.spec);
     rtl.run_iterations(ch, 3);
-    EXPECT_EQ(rtl.dump_c2v_canonical(), ref.run_and_dump_c2v(ch, 3));
+    EXPECT_EQ(rtl.dump_c2v_canonical(), ref->run_and_dump_c2v(ch, 3));
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, ToyEnsemble,

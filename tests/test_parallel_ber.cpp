@@ -1,9 +1,10 @@
-// Tests of the frame-parallel Monte-Carlo engine (comm/parallel.hpp): the
-// thread-count-invariance property the EXPERIMENTS.md numbers rely on,
-// byte-equality between the serial entry points and the parallel engine,
+// Tests of the frame-parallel Monte-Carlo harness (comm/ber.hpp): the
+// thread-count-invariance property the EXPERIMENTS.md numbers rely on
+// (one worker — the serial run — matches any number of workers),
 // batch-wise early-stop semantics, sweep permutation invariance, and the
-// SimProgress observability hook. Labeled `tsan` in tests/CMakeLists.txt so
-// the whole file also runs under ThreadSanitizer (-DDVBS2_SANITIZE=thread).
+// SimProgress observability hook. Labeled `tsan`, `asan` and `ubsan` in
+// tests/CMakeLists.txt so the whole file also runs under the sanitizer tiers
+// (-DDVBS2_SANITIZE=thread|address|undefined).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,13 +16,13 @@
 
 #include "code/params.hpp"
 #include "code/tanner.hpp"
-#include "comm/parallel.hpp"
-#include "core/decoder.hpp"
+#include "comm/ber.hpp"
+#include "core/engine.hpp"
+#include "fake_engine.hpp"
 
 namespace dc = dvbs2::code;
 namespace dm = dvbs2::comm;
 namespace dd = dvbs2::core;
-using dvbs2::util::BitVec;
 
 namespace {
 
@@ -30,35 +31,22 @@ const dc::Dvbs2Code& toy_code() {
     return code;
 }
 
-/// One independent BP decoder per worker (decoders own message memories and
-/// must not be shared across threads).
-dm::DecodeFactory bp_factory(int max_iterations = 20) {
-    return [max_iterations](unsigned) {
-        dd::DecoderConfig cfg;
-        cfg.max_iterations = max_iterations;
-        auto dec = std::make_shared<dd::Decoder>(toy_code(), cfg);
-        return [dec](const std::vector<double>& llr) {
-            const auto r = dec->decode(llr);
-            return dm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        };
-    };
+/// One independent float BP engine per worker (engines own message memories
+/// and must not be shared across threads).
+dm::EngineFactory bp_factory(int max_iterations = 20) {
+    dd::EngineSpec spec;
+    spec.arith = dd::Arithmetic::Float;
+    spec.config.max_iterations = max_iterations;
+    return dm::engine_factory(toy_code(), spec);
 }
 
 /// Stateless channel-hardening "decoder" (errors on every noisy frame, so
 /// early stopping engages quickly).
-dm::DecodeFactory harden_factory() {
-    return [](unsigned) {
-        return [](const std::vector<double>& llr) {
-            dm::DecodeOutcome out;
-            const int k = toy_code().k();
-            out.info_bits = BitVec(static_cast<std::size_t>(k));
-            for (int v = 0; v < k; ++v)
-                if (llr[static_cast<std::size_t>(v)] < 0)
-                    out.info_bits.set(static_cast<std::size_t>(v), true);
-            out.iterations = 1;
-            return out;
-        };
-    };
+dm::EngineFactory harden_factory() {
+    return dvbs2::test::fn_factory([](std::span<const double> llr, dd::DecodeResult& out) {
+        dvbs2::test::hard_decision(llr, toy_code().k(), out);
+        out.iterations = 1;
+    });
 }
 
 void expect_same(const dm::BerPoint& a, const dm::BerPoint& b, const char* what) {
@@ -85,11 +73,11 @@ TEST(ParallelBer, ThreadCountInvariance) {
     const double ebn0 = 2.0;  // noisy enough that the toy code still fails
 
     cfg.threads = 1;
-    const auto t1 = dm::simulate_point_parallel(toy_code(), bp_factory(), ebn0, cfg);
+    const auto t1 = dm::simulate_point(toy_code(), bp_factory(), ebn0, cfg);
     cfg.threads = 2;
-    const auto t2 = dm::simulate_point_parallel(toy_code(), bp_factory(), ebn0, cfg);
+    const auto t2 = dm::simulate_point(toy_code(), bp_factory(), ebn0, cfg);
     cfg.threads = 8;
-    const auto t8 = dm::simulate_point_parallel(toy_code(), bp_factory(), ebn0, cfg);
+    const auto t8 = dm::simulate_point(toy_code(), bp_factory(), ebn0, cfg);
 
     ASSERT_GT(t1.frames, 0u);
     ASSERT_GT(t1.frame_errors, 0u);  // early stop actually engaged
@@ -98,8 +86,9 @@ TEST(ParallelBer, ThreadCountInvariance) {
 }
 
 TEST(ParallelBer, MatchesSerialSimulatePoint) {
-    // The serial DecodeFn entry point and the parallel engine are the same
-    // deterministic function of (seed, ebn0, limits).
+    // A serial run (one worker, decoding inline on the calling thread) and an
+    // 8-worker run are the same deterministic function of (seed, ebn0,
+    // limits).
     dm::SimConfig cfg;
     cfg.seed = 77;
     cfg.limits.max_frames = 96;
@@ -107,20 +96,12 @@ TEST(ParallelBer, MatchesSerialSimulatePoint) {
     cfg.limits.target_bit_errors = 30;
     cfg.limits.target_frame_errors = 4;
 
-    dd::DecoderConfig dcfg;
-    dcfg.max_iterations = 20;
-    dd::Decoder dec(toy_code(), dcfg);
-    const auto serial = dm::simulate_point(
-        toy_code(),
-        [&dec](const std::vector<double>& llr) {
-            const auto r = dec.decode(llr);
-            return dm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        },
-        2.5, cfg);
+    cfg.threads = 1;
+    const auto serial = dm::simulate_point(toy_code(), bp_factory(), 2.5, cfg);
 
     cfg.threads = 8;
-    const auto par = dm::simulate_point_parallel(toy_code(), bp_factory(), 2.5, cfg);
-    expect_same(serial, par, "serial vs 8-thread engine");
+    const auto par = dm::simulate_point(toy_code(), bp_factory(), 2.5, cfg);
+    expect_same(serial, par, "serial vs 8 threads");
 }
 
 TEST(ParallelBer, EarlyStopRoundsUpToBatchBoundary) {
@@ -135,12 +116,12 @@ TEST(ParallelBer, EarlyStopRoundsUpToBatchBoundary) {
     cfg.batch_frames = 8;
     for (unsigned threads : {1u, 4u}) {
         cfg.threads = threads;
-        const auto pt = dm::simulate_point_parallel(toy_code(), harden_factory(), 0.0, cfg);
+        const auto pt = dm::simulate_point(toy_code(), harden_factory(), 0.0, cfg);
         EXPECT_EQ(pt.frames, 8u) << threads << " threads";
     }
     cfg.batch_frames = 4;
     cfg.threads = 4;
-    EXPECT_EQ(dm::simulate_point_parallel(toy_code(), harden_factory(), 0.0, cfg).frames, 4u);
+    EXPECT_EQ(dm::simulate_point(toy_code(), harden_factory(), 0.0, cfg).frames, 4u);
 }
 
 TEST(ParallelBer, LastBatchTruncatesAtMaxFrames) {
@@ -153,7 +134,7 @@ TEST(ParallelBer, LastBatchTruncatesAtMaxFrames) {
     cfg.batch_frames = 8;
     for (unsigned threads : {1u, 3u}) {
         cfg.threads = threads;
-        const auto pt = dm::simulate_point_parallel(toy_code(), harden_factory(), 4.0, cfg);
+        const auto pt = dm::simulate_point(toy_code(), harden_factory(), 4.0, cfg);
         EXPECT_EQ(pt.frames, 21u) << threads << " threads";
     }
 }
@@ -168,8 +149,8 @@ TEST(ParallelBer, SweepPermutationPermutesResults) {
     cfg.threads = 2;
     const std::vector<double> fwd = {1.0, 3.0, 5.0};
     const std::vector<double> rev = {5.0, 1.0, 3.0};
-    const auto a = dm::simulate_sweep_parallel(toy_code(), harden_factory(), fwd, cfg);
-    const auto b = dm::simulate_sweep_parallel(toy_code(), harden_factory(), rev, cfg);
+    const auto a = dm::simulate_sweep(toy_code(), harden_factory(), fwd, cfg);
+    const auto b = dm::simulate_sweep(toy_code(), harden_factory(), rev, cfg);
     ASSERT_EQ(a.size(), 3u);
     ASSERT_EQ(b.size(), 3u);
     expect_same(a[0], b[1], "1.0 dB point");
@@ -177,24 +158,9 @@ TEST(ParallelBer, SweepPermutationPermutesResults) {
     expect_same(a[2], b[0], "5.0 dB point");
 
     // And the serial sweep agrees with the parallel one.
-    dd::DecoderConfig dcfg;
-    dcfg.max_iterations = 20;
-    dd::Decoder dec(toy_code(), dcfg);
     dm::SimConfig scfg = cfg;
     scfg.threads = 1;
-    const auto serial = dm::simulate_sweep(
-        toy_code(),
-        [&](const std::vector<double>& llr) {
-            dm::DecodeOutcome out;
-            const int k = toy_code().k();
-            out.info_bits = BitVec(static_cast<std::size_t>(k));
-            for (int v = 0; v < k; ++v)
-                if (llr[static_cast<std::size_t>(v)] < 0)
-                    out.info_bits.set(static_cast<std::size_t>(v), true);
-            out.iterations = 1;
-            return out;
-        },
-        fwd, scfg);
+    const auto serial = dm::simulate_sweep(toy_code(), harden_factory(), fwd, scfg);
     for (std::size_t i = 0; i < 3; ++i) expect_same(serial[i], a[i], "serial vs parallel sweep");
 }
 
@@ -238,7 +204,7 @@ TEST(ParallelBer, ProgressReportsMonotoneFramesAndFinalTotals) {
             final_event = p;
         }
     };
-    const auto pt = dm::simulate_point_parallel(toy_code(), harden_factory(), 3.0, cfg);
+    const auto pt = dm::simulate_point(toy_code(), harden_factory(), 3.0, cfg);
     ASSERT_TRUE(saw_finished);
     EXPECT_EQ(final_event.frames, pt.frames);
     EXPECT_EQ(final_event.bit_errors, pt.bit_errors);
@@ -255,20 +221,13 @@ TEST(ParallelBer, ThresholdParallelMatchesSerial) {
     cfg.limits.target_bit_errors = 30;
     cfg.limits.target_frame_errors = 4;
 
-    dd::DecoderConfig dcfg;
-    dcfg.max_iterations = 20;
-    dd::Decoder dec(toy_code(), dcfg);
-    const std::optional<double> serial = dm::find_threshold_db(
-        toy_code(),
-        [&dec](const std::vector<double>& llr) {
-            const auto r = dec.decode(llr);
-            return dm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-        },
-        1e-3, 2.0, 1.0, cfg, 12.0);
+    cfg.threads = 1;
+    const std::optional<double> serial =
+        dm::find_threshold_db(toy_code(), bp_factory(), 1e-3, 2.0, 1.0, cfg, 12.0);
 
     cfg.threads = 4;
     const std::optional<double> par =
-        dm::find_threshold_db_parallel(toy_code(), bp_factory(), 1e-3, 2.0, 1.0, cfg, 12.0);
+        dm::find_threshold_db(toy_code(), bp_factory(), 1e-3, 2.0, 1.0, cfg, 12.0);
     ASSERT_TRUE(serial.has_value());
     ASSERT_TRUE(par.has_value());
     EXPECT_DOUBLE_EQ(*serial, *par);
@@ -278,8 +237,8 @@ TEST(ParallelBer, FactoryExceptionPropagates) {
     dm::SimConfig cfg;
     cfg.limits.max_frames = 16;
     cfg.threads = 2;
-    const dm::DecodeFactory broken = [](unsigned) -> dm::DecodeFn {
+    const dm::EngineFactory broken = [](unsigned) -> std::unique_ptr<dd::Engine> {
         throw std::runtime_error("no decoder for you");
     };
-    EXPECT_THROW(dm::simulate_point_parallel(toy_code(), broken, 1.0, cfg), std::runtime_error);
+    EXPECT_THROW(dm::simulate_point(toy_code(), broken, 1.0, cfg), std::runtime_error);
 }

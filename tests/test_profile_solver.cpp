@@ -7,10 +7,11 @@
 #include "code/tanner.hpp"
 #include "code/validate.hpp"
 #include "comm/modem.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "enc/encoder.hpp"
 
 namespace dc = dvbs2::code;
+namespace dd = dvbs2::core;
 namespace dm = dvbs2::comm;
 using dvbs2::util::BitVec;
 
@@ -89,8 +90,8 @@ TEST(XRates, DerivedCodeDecodesEndToEnd) {
     dm::AwgnModem modem(dm::Modulation::Bpsk, 10);
     const double sigma = dm::noise_sigma(2.6, code.params().rate(), dm::Modulation::Bpsk);
     const auto llr = modem.transmit(enc.encode(info), sigma);
-    dvbs2::core::FixedDecoder dec(code, dvbs2::core::DecoderConfig{}, dvbs2::quant::kQuant6);
-    const auto res = dec.decode(llr);
+    const auto dec = dd::make_engine(code, {dd::Arithmetic::Fixed, {}, dvbs2::quant::kQuant6});
+    const auto res = dec->decode(llr);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.info_bits, info);
 }

@@ -20,7 +20,7 @@
 #include "comm/ber.hpp"
 #include "comm/modem.hpp"
 #include "core/arith.hpp"
-#include "core/decoder.hpp"
+#include "core/engine.hpp"
 #include "core/mp_decoder.hpp"
 #include "core/simd/simd_decoder.hpp"
 #include "enc/encoder.hpp"
@@ -256,7 +256,7 @@ INSTANTIATE_TEST_SUITE_P(
                         (std::get<1>(info.param) ? "EarlyStop" : "FixedIters"));
     });
 
-// -------------------------------------------- FixedDecoder-level dispatch
+// -------------------------------------------------- engine-level dispatch
 
 TEST(SimdDispatch, FixedDecoderBackendSimdMatchesScalar) {
     dd::DecoderConfig scalar_cfg;
@@ -265,11 +265,11 @@ TEST(SimdDispatch, FixedDecoderBackendSimdMatchesScalar) {
     dd::DecoderConfig simd_cfg = scalar_cfg;
     simd_cfg.backend = dd::DecoderBackend::Simd;
 
-    dd::FixedDecoder scalar(toy_code(), scalar_cfg, dq::kQuant6);
-    dd::FixedDecoder simd(toy_code(), simd_cfg, dq::kQuant6);
+    const auto scalar = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, scalar_cfg});
+    const auto simd = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, simd_cfg});
     for (std::uint64_t seed = 11; seed <= 14; ++seed) {
         const auto llr = noisy_llrs(toy_code(), 2.0, seed);
-        expect_results_equal(scalar.decode(llr), simd.decode(llr),
+        expect_results_equal(scalar->decode(llr), simd->decode(llr),
                              "seed " + std::to_string(seed));
         if (::testing::Test::HasFatalFailure()) return;
     }
@@ -278,8 +278,8 @@ TEST(SimdDispatch, FixedDecoderBackendSimdMatchesScalar) {
     const auto llr = noisy_llrs(toy_code(), 2.0, 21);
     std::vector<dq::QLLR> q(llr.size());
     for (std::size_t i = 0; i < llr.size(); ++i) q[i] = dq::quantize(llr[i], dq::kQuant6);
-    const auto cs = scalar.run_and_dump_c2v(q, 5);
-    const auto cv = simd.run_and_dump_c2v(q, 5);
+    const auto cs = scalar->run_and_dump_c2v(q, 5);
+    const auto cv = simd->run_and_dump_c2v(q, 5);
     EXPECT_EQ(cs, cv);
 }
 
@@ -289,13 +289,14 @@ TEST(SimdDispatch, UnsupportedConfigurationsThrow) {
 
     // Float datapath has no SIMD engine.
     cfg.schedule = dd::Schedule::TwoPhase;
-    EXPECT_THROW(dd::Decoder(toy_code(), cfg), std::runtime_error);
+    EXPECT_THROW(dd::make_engine(toy_code(), {dd::Arithmetic::Float, cfg}), std::runtime_error);
 
     // The SIMD engine runs every schedule (batches frame-per-lane, single
     // frames on the scalar decoder where group-parallel is illegal) ...
     for (const dd::Schedule s : kAllSchedules) {
         cfg.schedule = s;
-        EXPECT_NO_THROW(dd::FixedDecoder(toy_code(), cfg, dq::kQuant6)) << dd::to_string(s);
+        EXPECT_NO_THROW(dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg}))
+            << dd::to_string(s);
     }
     // ... but the group-parallel decoder itself refuses the serial-chain
     // schedules, naming the obstruction classify_schedule derived.
@@ -317,8 +318,8 @@ TEST(SimdDispatch, UnsupportedConfigurationsThrow) {
 
     // Per-CN input orders are a scalar-engine feature.
     cfg.schedule = dd::Schedule::TwoPhase;
-    dd::FixedDecoder simd(toy_code(), cfg, dq::kQuant6);
-    EXPECT_THROW(simd.set_cn_order(std::vector<int>(
+    const auto simd = dd::make_engine(toy_code(), {dd::Arithmetic::Fixed, cfg});
+    EXPECT_THROW(simd->set_cn_order(std::vector<int>(
                      static_cast<std::size_t>(toy_code().m()) *
                      static_cast<std::size_t>(toy_code().params().check_deg + 2))),
                  std::runtime_error);
@@ -342,12 +343,9 @@ TEST(SimdGoldenBer, SimulatePointTalliesMatchScalarBackend) {
         auto run = [&](dd::DecoderBackend backend) {
             dd::DecoderConfig c = cfg;
             c.backend = backend;
-            dd::FixedDecoder dec(toy_code(), c, dq::kQuant6);
-            const dm::DecodeFn fn = [&dec](const std::vector<double>& llr) {
-                const auto r = dec.decode(llr);
-                return dm::DecodeOutcome{r.info_bits, r.converged, r.iterations};
-            };
-            return dm::simulate_point(toy_code(), fn, 2.0, sim);
+            const auto factory =
+                dm::engine_factory(toy_code(), {dd::Arithmetic::Fixed, c, dq::kQuant6});
+            return dm::simulate_point(toy_code(), factory, 2.0, sim);
         };
 
         const dm::BerPoint a = run(dd::DecoderBackend::Scalar);

@@ -151,9 +151,9 @@ TEST(Cli, ParsesValuesAndFlags) {
 }
 
 TEST(Cli, RejectsUnknownOption) {
-    // The message is what every CLI program prints for a typo or --help: it
-    // names the bad option and the accepted ones, and is a plain usage error
-    // rather than an internal-requirement failure.
+    // The message is what every CLI program prints for a typo: it names the
+    // bad option and the accepted ones, and is a plain usage error rather
+    // than an internal-requirement failure.
     const char* argv[] = {"prog", "--bogus=1"};
     try {
         du::CliArgs(2, argv, {"rate", "ebn0"});
@@ -164,6 +164,13 @@ TEST(Cli, RejectsUnknownOption) {
         EXPECT_NE(what.find("--ebn0"), std::string::npos) << what;
         EXPECT_EQ(what.find("requirement failed"), std::string::npos) << what;
     }
+}
+
+TEST(Cli, HelpPrintsUsageAndExitsZero) {
+    // --help wins over every other argument, even an unknown option, so a
+    // user can always ask a program what it accepts.
+    const char* argv[] = {"/some/dir/prog", "--bogus=1", "--help"};
+    EXPECT_EXIT(du::CliArgs(3, argv, {"rate", "ebn0"}), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Cli, MalformedNumericValueThrowsNamingTheFlag) {
